@@ -8,6 +8,7 @@ from .symmetric import (
     ChernPolynomial,
     NotSymmetricError,
     expand_in_roots,
+    multiplicative_sequence,
     to_chern_basis,
     to_pontryagin_basis,
 )
@@ -16,6 +17,7 @@ from .genera import (
     GenusSpec,
     euler_class_roots,
     generating_series,
+    genus_class_polynomial,
     genus_polynomial,
     genus_series,
 )

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: genus, index, verify, stats, zeta-det, spectral.  Exit codes:
-0 on success, 1 when a verification fails, 2 on input or domain errors.
+0 on success, 1 when a verification fails, 2 on input or domain errors,
+including floating-point overflow that leaves no answer to print.
 Exact values are printed as p/q, numeric values with 17 significant
 digits, and identical inputs always produce byte-identical output.
 """
@@ -348,6 +349,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ValueError,
         OSError,
         json.JSONDecodeError,
+        ArithmeticError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,13 @@ Division by a non-unit never happens implicitly: factors with a vanishing
 denominator constant term are built by first dividing the denominator by
 its root variable (an exact operation on series whose terms all contain
 that variable) and inverting the resulting unit.
+
+Class polynomials (``genus_class_polynomial``, ``genus_polynomial``) are
+built in class space from the one-variable factor by
+``symmetric.multiplicative_sequence``.  The n-root product ``genus_series``
+stays as the route tests reduce with ``to_chern_basis`` /
+``to_pontryagin_basis`` to check them, and as a factor of the brute-force
+route of ``pairings.verify_identity``.
 """
 
 from __future__ import annotations
@@ -22,13 +29,14 @@ from threading import Lock
 from typing import Dict, Tuple
 
 from .series import TruncatedSeries
-from .symmetric import CHERN, ChernPolynomial, to_chern_basis, to_pontryagin_basis
+from .symmetric import CHERN, PONTRYAGIN, ChernPolynomial, multiplicative_sequence
 
 __all__ = [
     "GENUS_KINDS",
     "GenusSpec",
     "euler_class_roots",
     "generating_series",
+    "genus_class_polynomial",
     "genus_polynomial",
     "genus_series",
     "genus_spec",
@@ -124,6 +132,16 @@ def euler_class_roots(l: int, D: int) -> TruncatedSeries:
     return TruncatedSeries.monomial(variables, D, (1,) * l)
 
 
+def genus_class_polynomial(kind: str, n_roots: int, D: int) -> ChernPolynomial:
+    """Total genus class of n roots through degree D, in class-basis form.
+
+    A-hat is expressed in the Pontryagin basis, every other kind in the
+    Chern basis.
+    """
+    basis = PONTRYAGIN if kind == "ahat" else CHERN
+    return multiplicative_sequence(generating_series(kind, D), n_roots, D, basis)
+
+
 _POLY_CACHE: Dict[Tuple[str, int], ChernPolynomial] = {}
 _POLY_LOCK = Lock()
 
@@ -134,9 +152,10 @@ def genus_polynomial(kind: str, degree: int) -> ChernPolynomial:
     Todd and Td* are returned in the Chern basis, A-hat in the Pontryagin
     basis.  B-hat, whose homogeneous parts carry one odd power of every
     root, is also returned in the Chern basis (a Pontryagin expression
-    cannot exist for it).  Normalized genera (todd, ahat) are computed with
-    max(degree, 2) roots, which makes the answer independent of the root
-    count; results are cached per (kind, degree).
+    cannot exist for it).  Every kind but euler is the degree part of
+    ``genus_class_polynomial`` over max(degree, 2) roots, which makes the
+    normalized genera (todd, ahat) independent of the root count; results
+    are cached per (kind, degree).
     """
     _check_kind(kind)
     if degree < 0:
@@ -155,11 +174,13 @@ def genus_polynomial(kind: str, degree: int) -> ChernPolynomial:
             poly = ChernPolynomial(CHERN, rank, degree, {exps: Fraction(1)})
     else:
         n = max(degree, 2)
-        part = genus_series(kind, n, degree).homogeneous_part(degree)
-        if kind == "ahat":
-            poly = to_pontryagin_basis(part, n)
-        else:
-            poly = to_chern_basis(part, n)
+        total = genus_class_polynomial(kind, n, degree)
+        terms = {
+            exps: coeff
+            for exps, coeff in total.terms.items()
+            if total.weighted_degree(exps) == degree
+        }
+        poly = ChernPolynomial(total.basis, n, degree, terms)
     with _POLY_LOCK:
         _POLY_CACHE[key] = poly
     return poly

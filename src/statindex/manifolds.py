@@ -7,7 +7,9 @@ is all that genus and index evaluation needs.
 
 Generators carry root-degree 1 (real degree 2), so an element of the ring
 is a TruncatedSeries over the generators truncated at the complex
-dimension, reduced modulo the nilpotency relations.
+dimension, reduced modulo the nilpotency relations.  Genus classes are
+class polynomials built in class space (``genera.genus_class_polynomial``)
+and evaluated on the tangent Chern classes.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from math import comb
 from typing import Optional, Tuple
 
 from .series import Exponents, TruncatedSeries
-from .symmetric import CHERN, PONTRYAGIN, ChernPolynomial, to_chern_basis
-from .genera import genus_polynomial, genus_series
+from .symmetric import CHERN, PONTRYAGIN, ChernPolynomial
+from .genera import genus_class_polynomial
 
 __all__ = [
     "CatalogError",
@@ -248,32 +250,16 @@ def genus_class(
 ) -> TruncatedSeries:
     """Total genus class of the tangent bundle as a ring element.
 
-    Normalized genera (todd, ahat) are assembled from the stable per-degree
-    polynomials.  The non-normalized kinds (bhat, tdstar) have no stable
-    polynomials, so their root series is built with exactly l roots and
-    reduced degree by degree; euler is just c_l.
+    The class polynomial of l = dim roots through degree l is built in
+    class space (``genera.genus_class_polynomial``) and evaluated on the
+    tangent Chern classes.  The non-normalized kinds (bhat, tdstar) have no
+    stable polynomials, so the root count is exactly l for every kind;
+    euler is just c_l.  Tests check the polynomial against the l-root
+    ``genera.genus_series`` reduced by ``symmetric.to_chern_basis`` /
+    ``to_pontryagin_basis``.
     """
     l = model.complex_dim
-    out = model.zero()
-    if kind in ("todd", "ahat"):
-        for d in range(l + 1):
-            poly = genus_polynomial(kind, d)
-            if poly.is_zero():
-                continue
-            out = out + evaluate_chern_polynomial(poly, tangent, model)
-        return out
-    if kind == "euler":
-        return evaluate_chern_polynomial(genus_polynomial("euler", l), tangent, model)
-    if kind in ("bhat", "tdstar"):
-        series = genus_series(kind, l, l)
-        for d in range(l + 1):
-            part = series.homogeneous_part(d)
-            if part.is_zero():
-                continue
-            poly = to_chern_basis(part, l)
-            out = out + evaluate_chern_polynomial(poly, tangent, model)
-        return out
-    raise ValueError(f"unknown genus kind {kind!r}")
+    return evaluate_chern_polynomial(genus_class_polynomial(kind, l, l), tangent, model)
 
 
 def genus_number(kind: str, model: CohomologyModel, tangent: TangentData) -> Fraction:

@@ -19,6 +19,12 @@ manipulation.  The nondegenerate limit e^{-x} -> 0 is only ever applied to
 this canonical form, where it simply erases the remaining bose/fermi
 factors; applying it to an unfactored series would be meaningless.
 
+Every root of a canonical density carries the same factor x^m u(x), so
+``pairing_index`` builds its Chern-basis polynomial in class space as the
+multiplicative sequence of that one-root factor
+(``symmetric.multiplicative_sequence``); the l-root lowering reduced by
+``symmetric.to_chern_basis`` is the oracle tests compare it with.
+
 bb and bf use the paired-root convention for the complexified tangent
 bundle (roots +-x_i, i = 1..l), with the parity prefactor (-1)^{l(2l+1)}
 on bb; the literal single-root products over m = 2l independent roots are
@@ -33,7 +39,7 @@ from math import exp as _fexp
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .series import TruncatedSeries, format_rational
-from .symmetric import ChernPolynomial, to_chern_basis
+from .symmetric import CHERN, ChernPolynomial, multiplicative_sequence
 from .genera import euler_class_roots, genus_series, root_variables
 from .bundles import RootModel, chern_character, spinor_character
 from .manifolds import (
@@ -178,6 +184,20 @@ class FactorExpression:
                 out = out * (g ** f.fermi if f.fermi > 0 else g.invert() ** (-f.fermi))
         return out
 
+    def root_factor(self, D: int) -> TruncatedSeries:
+        """The factor every root carries, lowered alone (scalar excluded).
+
+        Raises ValueError when the roots carry different factors, since the
+        product is then not a multiplicative sequence.
+        """
+        first = self.factors[0]
+        if any(f != first for f in self.factors):
+            raise ValueError("roots carry different factors")
+        single = self.copy()
+        single.scalar = Fraction(1)
+        single.factors = single.factors[:1]
+        return single.to_series(D)
+
     def evaluate(self, values: Sequence[float], nondegenerate: bool = False) -> float:
         """Numeric value with root i set to values[i] (spectral pairings)."""
         if len(values) != self.n_roots:
@@ -314,10 +334,13 @@ def pairing_index(
 ) -> IndexReport:
     """Exact rational index of a pairing on a catalog manifold.
 
-    The density is lowered to a symmetric series, reduced to the Chern
-    basis, evaluated on the tangent Chern classes and integrated.  Terms
-    above the complex dimension cannot contribute to the integral, so the
-    lowering is truncated there regardless of D.
+    Every root of the canonical density carries the same factor x^m u(x),
+    so its Chern-basis polynomial is the multiplicative sequence of that
+    one-root factor (``symmetric.multiplicative_sequence``) times the
+    density's scalar; it is evaluated on the tangent Chern classes and
+    integrated.  Terms above the complex dimension cannot contribute to
+    the integral, so the polynomial is truncated there regardless of D.
+    Tests check it against ``to_chern_basis`` of the l-root lowering.
     """
     model, tangent = _resolve(manifold)
     l = model.complex_dim
@@ -329,8 +352,10 @@ def pairing_index(
             "degree would be lost"
         )
     expr = pairing_density(kind, l, mode)
-    series = expr.to_series(l)
-    poly = to_chern_basis(series, l)
+    per_root = multiplicative_sequence(expr.root_factor(l), l, l)
+    poly = ChernPolynomial(
+        CHERN, l, l, {e: c * expr.scalar for e, c in per_root.terms.items()}
+    )
     element = evaluate_chern_polynomial(poly, tangent, model)
     value = model.integrate(element)
     return IndexReport(
@@ -542,6 +567,11 @@ def verify_identity(kind: str, l: int, D: Optional[int] = None) -> VerifyReport:
         raise ValueError("need l >= 1")
     if D is None:
         D = 2 * l + 4
+    if D < l:
+        raise ValueError(
+            f"truncation {D} is below the root count {l}; the density's "
+            "leading degree would be lost"
+        )
     expr = pairing_density(kind, l)
     factored = expr.to_series(D)
     brute = _brute_series(kind, l, D)
@@ -554,8 +584,8 @@ def verify_identity(kind: str, l: int, D: Optional[int] = None) -> VerifyReport:
             mismatch = (exps, format_rational(a), format_rational(b))
             break
     ok = mismatch is None
-    euler = euler_class_roots(l, D) if D >= l else None
-    if ok and euler is not None:
+    if ok:
+        euler = euler_class_roots(l, D)
         if kind in ("ff", "bb"):
             ok = factored == euler
         else:

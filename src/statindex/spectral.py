@@ -67,12 +67,12 @@ class SpectrumSpec:
             eigs = tuple(float(x) for x in self.eigenvalues)
             if not eigs:
                 raise ValueError("finite spectrum needs at least one eigenvalue")
-            if any(x <= 0 for x in eigs):
-                raise ValueError("finite spectrum eigenvalues must be positive")
+            if not all(0 < x < math.inf for x in eigs):
+                raise ValueError("finite spectrum eigenvalues must be positive and finite")
             object.__setattr__(self, "eigenvalues", eigs)
         elif self.form == "affine":
-            if self.a <= 0 or self.c <= 0:
-                raise ValueError("affine spectrum needs a > 0 and c > 0")
+            if not (0 < self.a < math.inf and 0 < self.c < math.inf):
+                raise ValueError("affine spectrum needs finite a > 0 and c > 0")
         else:
             raise ValueError(f"unknown spectrum form {self.form!r}")
 

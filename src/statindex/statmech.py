@@ -261,6 +261,16 @@ def bose_geometric_sum(
         raise DivergenceError(f"geometric level sum needs y < 0, got {y}")
     ratio = math.exp(y)
     one_minus = -math.expm1(y)
+    if tol > 0:
+        # the tail after N terms is e^{N y}/(1 - e^y), so the loop needs
+        # N = ln(tol (1 - e^y))/y terms; the margin covers its rounding
+        needed = (math.log(tol) + math.log(one_minus)) / y
+        if needed > 1.001 * max_terms + 1:
+            raise TailBoundError(
+                f"tail bound needs about {needed:.3g} terms to fall below "
+                f"tolerance {tol}, more than {max_terms} "
+                f"(y = {y} too close to 0)"
+            )
     total = 0.0
     term = 1.0
     for n in range(max_terms):

@@ -1,19 +1,29 @@
-"""Rewrite symmetric root series in elementary-symmetric (Chern) bases.
+"""Class polynomials in elementary-symmetric (Chern) bases.
 
 Chern classes are the elementary symmetric polynomials of the Chern roots,
 and Pontryagin classes are the elementary symmetric polynomials of their
-squares.  The reduction used here is the classical leading-term algorithm:
-take the graded-lex leading exponent a_1 >= a_2 >= ... >= a_n of a
-homogeneous symmetric polynomial, subtract the matching product
-e_1^(a_1-a_2) e_2^(a_2-a_3) ... e_n^(a_n), and repeat.  Every elementary
-symmetric polynomial is homogeneous, so the loop can run independently on
-each homogeneous component and never interacts with the truncation.
+squares.  Two routes lead from root data to a class polynomial:
+
+* ``multiplicative_sequence`` handles the products over the roots of one
+  per-root factor, which is what every genus and pairing density is.  It
+  works in class space from the factor's one-variable logarithm, power
+  sums and Newton's identities, and never builds the n-root series.
+* ``to_chern_basis`` / ``to_pontryagin_basis`` reduce any symmetric root
+  series by the classical leading-term algorithm: take the graded-lex
+  leading exponent a_1 >= a_2 >= ... >= a_n of a homogeneous symmetric
+  polynomial, subtract the matching product e_1^(a_1-a_2) e_2^(a_2-a_3)
+  ... e_n^(a_n), and repeat.  Every elementary symmetric polynomial is
+  homogeneous, so the loop can run independently on each homogeneous
+  component and never interacts with the truncation.  Tests use this route
+  as the oracle for the first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .series import (
@@ -29,6 +39,7 @@ __all__ = [
     "NotSymmetricError",
     "elementary_symmetric",
     "expand_in_roots",
+    "multiplicative_sequence",
     "symmetry_violation",
     "to_chern_basis",
     "to_pontryagin_basis",
@@ -131,7 +142,7 @@ def poly_str(poly: ChernPolynomial) -> str:
     names = poly.generator_names()
     denom = 1
     for coeff in poly.terms.values():
-        denom = denom * coeff.denominator // _gcd(denom, coeff.denominator)
+        denom = denom * coeff.denominator // gcd(denom, coeff.denominator)
     parts = []
     ordered = sorted(poly.terms.items(), key=lambda it: _display_key(poly, it[0]))
     for exps, coeff in ordered:
@@ -159,12 +170,6 @@ def poly_str(poly: ChernPolynomial) -> str:
     if len(parts) == 1 and "*" not in body.replace("-", "", 1):
         return f"{body}/{denom}"
     return f"({body})/{denom}"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- symmetry checks ---------------------------------------------------------
@@ -196,7 +201,7 @@ def elementary_symmetric(
         raise ValueError(f"e_{k} undefined for {n} variables")
     step = 2 if squared else 1
     terms: Dict[Exponents, Fraction] = {}
-    for combo in _combinations(n, k):
+    for combo in combinations(range(n), k):
         exps = [0] * n
         for idx in combo:
             exps[idx] = step
@@ -204,22 +209,6 @@ def elementary_symmetric(
     if k == 0:
         terms = {(0,) * n: Fraction(1)}
     return TruncatedSeries(variables, truncation, terms)
-
-
-def _combinations(n: int, k: int):
-    from itertools import combinations
-
-    return combinations(range(n), k)
-
-
-def _e_dict(n: int, k: int, step: int) -> Dict[Exponents, Fraction]:
-    terms: Dict[Exponents, Fraction] = {}
-    for combo in _combinations(n, k):
-        exps = [0] * n
-        for idx in combo:
-            exps[idx] = step
-        terms[tuple(exps)] = Fraction(1)
-    return terms
 
 
 def _dict_mul(a: Dict[Exponents, Fraction], b: Dict[Exponents, Fraction]) -> Dict[Exponents, Fraction]:
@@ -236,14 +225,18 @@ def _dict_mul(a: Dict[Exponents, Fraction], b: Dict[Exponents, Fraction]) -> Dic
 
 
 def _reduce_to_elementary(
-    component: Dict[Exponents, Fraction], n: int, step: int
+    component: Dict[Exponents, Fraction], variables: Tuple[str, ...], step: int
 ) -> Dict[Exponents, Fraction]:
     """Reduce one homogeneous symmetric component to elementary monomials.
 
     With ``step == 2`` the roots are the squares, i.e. exponent tuples are
     halved before comparison with e_k(x_i^2) expansions.
     """
-    e_cache = {k: _e_dict(n, k, step) for k in range(1, n + 1)}
+    n = len(variables)
+    e_cache = {
+        k: elementary_symmetric(variables, k * step, k, squared=step == 2).terms
+        for k in range(1, n + 1)
+    }
     work = dict(component)
     out: Dict[Exponents, Fraction] = {}
     while work:
@@ -293,7 +286,7 @@ def to_chern_basis(series: TruncatedSeries, n_roots: int) -> ChernPolynomial:
         component = {e: c for e, c in series.terms.items() if sum(e) == degree}
         if not component:
             continue
-        for multi, coeff in _reduce_to_elementary(component, n_roots, 1).items():
+        for multi, coeff in _reduce_to_elementary(component, series.variables, 1).items():
             terms[multi] = terms.get(multi, Fraction(0)) + coeff
     return ChernPolynomial(CHERN, n_roots, series.truncation, terms)
 
@@ -322,9 +315,91 @@ def to_pontryagin_basis(series: TruncatedSeries, l: int) -> ChernPolynomial:
         component = {e: c for e, c in series.terms.items() if sum(e) == degree}
         if not component:
             continue
-        for multi, coeff in _reduce_to_elementary(component, l, 2).items():
+        for multi, coeff in _reduce_to_elementary(component, series.variables, 2).items():
             terms[multi] = terms.get(multi, Fraction(0)) + coeff
     return ChernPolynomial(PONTRYAGIN, l, series.truncation, terms)
+
+
+def multiplicative_sequence(
+    factor: TruncatedSeries, n_roots: int, truncation: int, basis: str = CHERN
+) -> ChernPolynomial:
+    """Class polynomial of prod_{i=1..n} f(x_i), truncated at weighted degree D.
+
+    ``factor`` is the per-root factor f(x) = x^m u(x), u(0) != 0, as a
+    one-variable series known through degree ``truncation``.  With
+    log(u/u(0)) = sum_k L_k x^k and the power sums s_k = sum_i x_i^k,
+
+        prod_i f(x_i) = u(0)^n * c_n^m * exp(sum_k L_k s_k),
+
+    where Newton's identities write each s_k in c_1..c_n and the exponential
+    is taken degree by degree.  The n-root series is never built.  The
+    product is empty when m*n > D.  With the Pontryagin basis f must be
+    even, f(x) = g(x^2), and the same construction runs in y = x^2, whose
+    elementary symmetric polynomials p_k carry weighted degree 2k.
+    """
+    if basis not in (CHERN, PONTRYAGIN):
+        raise ValueError(f"unknown basis {basis!r}")
+    if len(factor.variables) != 1:
+        raise ValueError("per-root factor must be a one-variable series")
+    if n_roots < 1:
+        raise ValueError("need at least one root")
+    if not 0 <= truncation <= factor.truncation:
+        raise ValueError(
+            f"truncation {truncation} outside the factor's range 0..{factor.truncation}"
+        )
+    coeffs = [factor.coefficient((k,)) for k in range(truncation + 1)]
+    if basis == PONTRYAGIN:
+        if any(coeffs[1::2]):
+            raise NotSymmetricError(
+                "per-root factor has odd-degree terms; "
+                "not expressible in Pontryagin classes"
+            )
+        coeffs = coeffs[::2]
+    n = n_roots
+    m = next((k for k, c in enumerate(coeffs) if c), None)
+    if m is None or m * n > len(coeffs) - 1:
+        return ChernPolynomial(basis, n, truncation)
+    top = len(coeffs) - 1 - m * n  # degree still free for u's contribution
+    u = coeffs[m : m + top + 1]
+    # log(u/u(0)) from (log v)' = v'/v with v = u/u(0):
+    # k L_k = k v_k - sum_{j<k} j L_j v_{k-j}
+    v = [c / u[0] for c in u]
+    logs = [Fraction(0)] * (top + 1)
+    for k in range(1, top + 1):
+        acc = k * v[k] - sum(j * logs[j] * v[k - j] for j in range(1, k))
+        logs[k] = acc / k
+    # Newton: s_k = sum_{j=1}^{k-1} (-1)^{j-1} c_j s_{k-j} + (-1)^{k-1} k c_k
+    zero = (0,) * n
+    power_sums: List[Dict[Exponents, Fraction]] = [{zero: Fraction(n)}]  # s_0 = n
+    for k in range(1, top + 1):
+        pk: Dict[Exponents, Fraction] = {}
+        for j in range(1, min(k, n + 1)):
+            sign = 1 if j % 2 else -1
+            for exps, coeff in power_sums[k - j].items():
+                shifted = exps[: j - 1] + (exps[j - 1] + 1,) + exps[j:]
+                pk[shifted] = pk.get(shifted, Fraction(0)) + sign * coeff
+        if k <= n:
+            ck = zero[: k - 1] + (1,) + zero[k:]
+            pk[ck] = pk.get(ck, Fraction(0)) + (k if k % 2 else -k)
+        power_sums.append({e: c for e, c in pk.items() if c})
+    # graded exponential of S = sum_k L_k s_k: d E_d = sum_k k S_k E_{d-k}
+    parts: List[Dict[Exponents, Fraction]] = [{zero: u[0] ** n}]
+    for d in range(1, top + 1):
+        acc_d: Dict[Exponents, Fraction] = {}
+        for k in range(1, d + 1):
+            if not logs[k]:
+                continue
+            for es, cs in power_sums[k].items():
+                weight = k * logs[k] * cs
+                for ee, ce in parts[d - k].items():
+                    exps = tuple(a + b for a, b in zip(es, ee))
+                    acc_d[exps] = acc_d.get(exps, Fraction(0)) + weight * ce
+        parts.append({e: c / d for e, c in acc_d.items() if c})
+    terms: Dict[Exponents, Fraction] = {}
+    for part in parts:
+        for exps, coeff in part.items():
+            terms[exps[:-1] + (exps[-1] + m,)] = coeff
+    return ChernPolynomial(basis, n, truncation, terms)
 
 
 def expand_in_roots(

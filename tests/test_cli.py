@@ -158,3 +158,44 @@ def test_flag_overrides_config(tmp_path, capsys):
                        "index", "ff", "cp1")
     assert code == 0
     assert out.strip() == "2"
+
+
+_FD_HOT = {"levels": [-50.0] * 20, "mu": 0.0, "beta": 1.0, "statistics": "FD"}
+_WIDE = ",".join(repr(0.1 + 9.9 * (k + 0.5) / 1000) for k in range(1000))
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["stats", "{path}", "--check-correspondence"], _FD_HOT),
+        (["zeta-det", "--finite", _WIDE], None),
+        (["spectral", "{path}"], {"form": "finite", "eigenvalues": [1e-320]}),
+        (["zeta-det", "--affine", "1", "1e300"], None),
+        (["--format", "json", "spectral", "{path}"], {"form": "affine", "a": 0.001, "c": 2.0}),
+    ],
+    ids=["correspondence-overflow", "finite-det-overflow", "subnormal-eigenvalue",
+         "huge-affine-c", "affine-json-xi-overflow"],
+)
+def test_arithmetic_errors_exit_2(tmp_path, capsys, argv, payload):
+    path = tmp_path / "input.json"
+    if payload is not None:
+        path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--all", "--l", "2", "--degree", "1"],
+        ["zeta-det", "--finite", "nan"],
+        ["zeta-det", "--finite", "1,inf"],
+        ["zeta-det", "--affine", "nan", "1"],
+        ["zeta-det", "--affine", "1", "inf"],
+    ],
+)
+def test_inputs_without_a_meaningful_answer_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")

@@ -171,3 +171,9 @@ def test_factor_expression_numeric_evaluation():
 def test_truncation_too_low_for_index():
     with pytest.raises(ValueError):
         pairing_index("ff", "cp3", "exact", D=2)
+
+
+def test_verify_identity_rejects_truncation_below_root_count():
+    with pytest.raises(ValueError):
+        verify_identity("fb", 2, 1)
+    assert verify_identity("fb", 2, 2).ok

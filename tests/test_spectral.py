@@ -34,6 +34,16 @@ def test_spectrum_validation():
         SpectrumSpec(form="other")
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_spectrum_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError):
+        SpectrumSpec.finite([1.0, bad])
+    with pytest.raises(ValueError):
+        SpectrumSpec.affine(bad, 1.0)
+    with pytest.raises(ValueError):
+        SpectrumSpec.affine(1.0, bad)
+
+
 def test_formal_chern_character_finite():
     assert formal_chern_character(SpectrumSpec.finite([LN2])) == 0.5
     spec = SpectrumSpec.finite([1.0, 2.0, 3.0])

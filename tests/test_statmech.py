@@ -168,3 +168,24 @@ def test_ensemble_report_json():
     rows = grand_ensemble(system).csv_rows()
     assert rows[0][0] == "level"
     assert len(rows) == 2
+
+
+def test_bose_geometric_sum_rejects_hopeless_sums_before_looping():
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(TailBoundError):
+        bose_geometric_sum(-1e-5)
+    with pytest.raises(TailBoundError):
+        bose_geometric_sum(-5e-324)
+    assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("y", (-0.5, -0.01, -3e-3, -1e-4))
+def test_bose_geometric_sum_term_limit_is_exact(y):
+    # a sum that fits its term limit exactly still converges, one term
+    # fewer raises: the early check never cuts a convergent sum short
+    value, terms, tail = bose_geometric_sum(y)
+    assert bose_geometric_sum(y, max_terms=terms) == (value, terms, tail)
+    with pytest.raises(TailBoundError):
+        bose_geometric_sum(y, max_terms=terms - 1)
