@@ -29,7 +29,6 @@ from .bundles import (
     lambda_minus1_dual,
     spinor_character,
     sym_fock_character,
-    thermal_pullback_roundtrip,
 )
 from .manifolds import (
     CatalogError,
@@ -40,7 +39,6 @@ from .manifolds import (
     evaluate_chern_polynomial,
     genus_class,
     genus_number,
-    integrate,
 )
 from .pairings import (
     FactorExpression,

@@ -27,7 +27,6 @@ __all__ = [
     "lambda_minus1_dual",
     "spinor_character",
     "sym_fock_character",
-    "thermal_pullback_roundtrip",
 ]
 
 
@@ -233,12 +232,6 @@ def lambda_minus1_dual(l: int, paired: bool, D: int) -> TruncatedSeries:
         if paired:
             out = out * (one - x.exp())
     return out
-
-
-def thermal_pullback_roundtrip(model: RootModel) -> RootModel:
-    """Pullback to the thermal circle followed by restriction along the
-    section, modelled as the identity on root data."""
-    return RootModel(model.variables, model.truncation, model.roots)
 
 
 def fock_character_value(statistics: str, y: float) -> float:

@@ -41,7 +41,6 @@ class RunConfig:
     degree: Optional[int] = None
     fmt: str = "text"
     tolerance: float = 1e-12
-    seed: int = 0
 
     def __post_init__(self):
         if self.degree is not None and self.degree < 0:
@@ -76,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--degree", type=int, help="series truncation degree")
     parser.add_argument("--format", choices=FORMATS, dest="fmt", help="output format")
     parser.add_argument("--tolerance", type=float, help="numeric tolerance")
-    parser.add_argument("--seed", type=int, help="seed for randomized subcommands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_genus = sub.add_parser("genus", help="genus polynomials and genus numbers")
@@ -128,7 +126,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-        for key in ("degree", "tolerance", "seed"):
+        for key in ("degree", "tolerance"):
             if key in raw:
                 values[key] = raw[key]
         if "format" in raw:
@@ -139,8 +137,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         values["fmt"] = args.fmt
     if args.tolerance is not None:
         values["tolerance"] = args.tolerance
-    if args.seed is not None:
-        values["seed"] = args.seed
     return RunConfig(**values)
 
 

@@ -13,20 +13,23 @@ denominator constant term are built by first dividing the denominator by
 its root variable (an exact operation on series whose terms all contain
 that variable) and inverting the resulting unit.
 
-Class polynomials (``genus_class_polynomial``, ``genus_polynomial``) are
-built in class space from the one-variable factor by
-``symmetric.multiplicative_sequence``.  The n-root product ``genus_series``
-stays as the route tests reduce with ``to_chern_basis`` /
-``to_pontryagin_basis`` to check them, and as a factor of the brute-force
-route of ``pairings.verify_identity``.
+Each factor is built once, as the one-variable series
+``generating_series``, and everything else is made from it.  Class
+polynomials (``genus_class_polynomial``, ``genus_polynomial``) are built in
+class space by ``symmetric.multiplicative_sequence``; they are computed
+afresh on every call.  The n-root product ``genus_series`` is the product
+of renamed copies of the same series; it stays as the route tests reduce
+with ``to_chern_basis`` / ``to_pontryagin_basis`` to check them, and as a
+factor of the brute-force route of ``pairings.verify_identity``, which
+reaches A-hat and B-hat through these literal formulas rather than
+through the factored algebra of the pairings module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from threading import Lock
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .series import TruncatedSeries
 from .symmetric import CHERN, PONTRYAGIN, ChernPolynomial, multiplicative_sequence
@@ -63,30 +66,27 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown genus kind {kind!r}; expected one of {GENUS_KINDS}")
 
 
-def _root_factor(kind: str, variables: Tuple[str, ...], D: int, name: str) -> TruncatedSeries:
-    """The per-root factor g(x) for one root, over the full variable set."""
-    one = TruncatedSeries.constant(variables, D, 1)
-    x_mono = TruncatedSeries.variable(variables, D, name)
+def _root_factor(kind: str, D: int) -> TruncatedSeries:
+    """The per-root factor g(x) as a series in ``x`` through degree D."""
+    variables = ("x",)
+    x = TruncatedSeries.variable(variables, D, "x")
     if kind == "euler":
-        return x_mono
+        return x
     if kind == "todd":
-        x = TruncatedSeries.variable(variables, D + 1, name)
-        denom = TruncatedSeries.constant(variables, D + 1, 1) - (-x).exp()
-        return denom.quotient_by(name).invert()
+        x_up = TruncatedSeries.variable(variables, D + 1, "x")
+        denom = TruncatedSeries.constant(variables, D + 1, 1) - (-x_up).exp()
+        return denom.quotient_by("x").invert()
     if kind == "ahat":
-        x = TruncatedSeries.variable(variables, D + 1, name)
-        half = x * Fraction(1, 2)
+        half = TruncatedSeries.variable(variables, D + 1, "x") * Fraction(1, 2)
         denom = half.exp() - (-half).exp()
-        return denom.quotient_by(name).invert()
+        return denom.quotient_by("x").invert()
     if kind == "bhat":
-        x = TruncatedSeries.variable(variables, D, name)
         half = x * Fraction(1, 2)
         denom = half.exp() + (-half).exp()
-        return denom.invert() * x_mono
+        return denom.invert() * x
     if kind == "tdstar":
-        x = TruncatedSeries.variable(variables, D, name)
-        denom = one + (-x).exp()
-        return denom.invert() * x_mono
+        denom = TruncatedSeries.constant(variables, D, 1) + (-x).exp()
+        return denom.invert() * x
     raise AssertionError(kind)
 
 
@@ -97,7 +97,7 @@ def generating_series(kind: str, D: int) -> TruncatedSeries:
         raise ValueError("truncation must be >= 0")
     if kind == "euler" and D < 1:
         raise ValueError("euler factor needs truncation >= 1")
-    return _root_factor(kind, ("x",), D, "x")
+    return _root_factor(kind, D)
 
 
 def genus_spec(kind: str, D: int = 8) -> GenusSpec:
@@ -105,7 +105,8 @@ def genus_spec(kind: str, D: int = 8) -> GenusSpec:
 
 
 def genus_series(kind: str, n_roots: int, D: int) -> TruncatedSeries:
-    """Product of per-root factors over x1..xn, truncated at total degree D."""
+    """Product over x1..xn of the one-variable factor ``generating_series``,
+    each copy renamed to its root, truncated at total degree D."""
     _check_kind(kind)
     if n_roots < 1:
         raise ValueError("need at least one root")
@@ -116,9 +117,10 @@ def genus_series(kind: str, n_roots: int, D: int) -> TruncatedSeries:
             f"euler class of {n_roots} roots has degree {n_roots} > truncation {D}"
         )
     variables = root_variables(n_roots)
+    factor = generating_series(kind, D)
     out = TruncatedSeries.constant(variables, D, 1)
     for name in variables:
-        out = out * _root_factor(kind, variables, D, name)
+        out = out * factor.rename({"x": name}).embed(variables, D)
     return out
 
 
@@ -142,10 +144,6 @@ def genus_class_polynomial(kind: str, n_roots: int, D: int) -> ChernPolynomial:
     return multiplicative_sequence(generating_series(kind, D), n_roots, D, basis)
 
 
-_POLY_CACHE: Dict[Tuple[str, int], ChernPolynomial] = {}
-_POLY_LOCK = Lock()
-
-
 def genus_polynomial(kind: str, degree: int) -> ChernPolynomial:
     """Degree-homogeneous part of the genus in class-basis form.
 
@@ -154,33 +152,22 @@ def genus_polynomial(kind: str, degree: int) -> ChernPolynomial:
     root, is also returned in the Chern basis (a Pontryagin expression
     cannot exist for it).  Every kind but euler is the degree part of
     ``genus_class_polynomial`` over max(degree, 2) roots, which makes the
-    normalized genera (todd, ahat) independent of the root count; results
-    are cached per (kind, degree).
+    normalized genera (todd, ahat) independent of the root count.
     """
     _check_kind(kind)
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    key = (kind, degree)
-    with _POLY_LOCK:
-        cached = _POLY_CACHE.get(key)
-    if cached is not None:
-        return cached
     if kind == "euler":
         rank = max(degree, 1)
         if degree == 0:
-            poly = ChernPolynomial(CHERN, rank, 0, {(0,) * rank: Fraction(1)})
-        else:
-            exps = tuple(1 if k == degree - 1 else 0 for k in range(rank))
-            poly = ChernPolynomial(CHERN, rank, degree, {exps: Fraction(1)})
-    else:
-        n = max(degree, 2)
-        total = genus_class_polynomial(kind, n, degree)
-        terms = {
-            exps: coeff
-            for exps, coeff in total.terms.items()
-            if total.weighted_degree(exps) == degree
-        }
-        poly = ChernPolynomial(total.basis, n, degree, terms)
-    with _POLY_LOCK:
-        _POLY_CACHE[key] = poly
-    return poly
+            return ChernPolynomial(CHERN, rank, 0, {(0,) * rank: Fraction(1)})
+        exps = tuple(1 if k == degree - 1 else 0 for k in range(rank))
+        return ChernPolynomial(CHERN, rank, degree, {exps: Fraction(1)})
+    n = max(degree, 2)
+    total = genus_class_polynomial(kind, n, degree)
+    terms = {
+        exps: coeff
+        for exps, coeff in total.terms.items()
+        if total.weighted_degree(exps) == degree
+    }
+    return ChernPolynomial(total.basis, n, degree, terms)

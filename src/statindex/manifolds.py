@@ -34,7 +34,6 @@ __all__ = [
     "evaluate_chern_polynomial",
     "genus_class",
     "genus_number",
-    "integrate",
     "product",
     "torus",
 ]
@@ -200,10 +199,6 @@ def catalog(name: str) -> Tuple[CohomologyModel, TangentData]:
     for nxt in pairs[1:]:
         out = product(out, nxt)
     return out
-
-
-def integrate(model: CohomologyModel, element: TruncatedSeries) -> Fraction:
-    return model.integrate(element)
 
 
 def _pontryagin_element(

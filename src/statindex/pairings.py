@@ -19,11 +19,15 @@ manipulation.  The nondegenerate limit e^{-x} -> 0 is only ever applied to
 this canonical form, where it simply erases the remaining bose/fermi
 factors; applying it to an unfactored series would be meaningless.
 
-Every root of a canonical density carries the same factor x^m u(x), so
-``pairing_index`` builds its Chern-basis polynomial in class space as the
-multiplicative sequence of that one-root factor
-(``symmetric.multiplicative_sequence``); the l-root lowering reduced by
-``symmetric.to_chern_basis`` is the oracle tests compare it with.
+Each root's canonical factor is lowered to a one-variable series by one
+builder (``_lower_root``): ``FactorExpression.root_factor`` returns that
+series, and ``to_series`` is the scalar times the product of the lowered
+factors, each renamed to its root.  Every root of a canonical density
+carries the same factor x^m u(x), so ``pairing_index`` builds its
+Chern-basis polynomial in class space as the multiplicative sequence of
+that one-root factor (``symmetric.multiplicative_sequence``); the l-root
+lowering reduced by ``symmetric.to_chern_basis`` is the oracle tests
+compare it with.
 
 bb and bf use the paired-root convention for the complexified tangent
 bundle (roots +-x_i, i = 1..l), with the parity prefactor (-1)^{l(2l+1)}
@@ -33,7 +37,7 @@ exercised by verify_identity as a separate route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import exp as _fexp
 from typing import List, Optional, Sequence, Tuple, Union
@@ -77,6 +81,34 @@ class _RootFactor:
     exp_coeff: Fraction = field(default_factory=lambda: Fraction(0))
     bose: int = 0
     fermi: int = 0
+
+
+def _lower_root(f: _RootFactor, D: int) -> TruncatedSeries:
+    """One root's factor x^p e^{s x} (1 - e^{-x})^b (1 + e^{-x})^f as a
+    series in ``x1`` through degree D.
+
+    (1 - e^{-x})^b is written x^b u^b with the unit u = (1 - e^{-x})/x, so an
+    inverse bose factor needs x powers p + b >= 0 to cover it; otherwise the
+    factor has a genuine pole.
+    """
+    variables = ("x1",)
+    net = f.power + f.bose
+    if net < 0:
+        raise PoleError(
+            f"uncancelled pole: x^{f.power} against (1-e^-x)^{f.bose}"
+        )
+    out = TruncatedSeries.monomial(variables, D, (net,))
+    if f.bose:
+        x = TruncatedSeries.variable(variables, D + 1, "x1")
+        u = (TruncatedSeries.constant(variables, D + 1, 1) - (-x).exp()).quotient_by("x1")
+        out = out * (u ** f.bose if f.bose > 0 else u.invert() ** (-f.bose))
+    x = TruncatedSeries.variable(variables, D, "x1")
+    if f.exp_coeff:
+        out = out * (x * f.exp_coeff).exp()
+    if f.fermi:
+        g = TruncatedSeries.constant(variables, D, 1) + (-x).exp()
+        out = out * (g ** f.fermi if f.fermi > 0 else g.invert() ** (-f.fermi))
+    return out
 
 
 class FactorExpression:
@@ -155,37 +187,23 @@ class FactorExpression:
         )
 
     def to_series(self, D: int) -> TruncatedSeries:
-        """Lower to a truncated series; inverse bose factors must be covered
-        by x powers, otherwise the density has a genuine pole."""
+        """Lower to a truncated series over x1..xl: the scalar times the
+        product of every root's one-variable lowering (``_lower_root``),
+        each distinct factor lowered once.  Raises PoleError when an inverse
+        bose factor is not covered by x powers."""
         variables = root_variables(self.n_roots)
         out = TruncatedSeries.constant(variables, D, self.scalar)
-        one = TruncatedSeries.constant(variables, D, 1)
-        for i, f in enumerate(self.factors):
-            name = variables[i]
-            net = f.power + f.bose
-            if net < 0:
-                raise PoleError(
-                    f"uncancelled pole at root {name}: x^{f.power} against "
-                    f"(1-e^-x)^{f.bose}"
-                )
-            if net:
-                exps = tuple(net if v == name else 0 for v in variables)
-                out = out * TruncatedSeries.monomial(variables, D, exps)
-            if f.bose:
-                x = TruncatedSeries.variable(variables, D + 1, name)
-                u = (TruncatedSeries.constant(variables, D + 1, 1) - (-x).exp()).quotient_by(name)
-                out = out * (u ** f.bose if f.bose > 0 else u.invert() ** (-f.bose))
-            if f.exp_coeff:
-                x = TruncatedSeries.variable(variables, D, name)
-                out = out * (x * f.exp_coeff).exp()
-            if f.fermi:
-                x = TruncatedSeries.variable(variables, D, name)
-                g = one + (-x).exp()
-                out = out * (g ** f.fermi if f.fermi > 0 else g.invert() ** (-f.fermi))
+        lowered = {}
+        for name, f in zip(variables, self.factors):
+            key = (f.power, f.exp_coeff, f.bose, f.fermi)
+            if key not in lowered:
+                lowered[key] = _lower_root(f, D)
+            out = out * lowered[key].rename({"x1": name}).embed(variables, D)
         return out
 
     def root_factor(self, D: int) -> TruncatedSeries:
-        """The factor every root carries, lowered alone (scalar excluded).
+        """The factor every root carries, lowered alone over ``("x1",)``
+        (scalar excluded).
 
         Raises ValueError when the roots carry different factors, since the
         product is then not a multiplicative sequence.
@@ -193,10 +211,7 @@ class FactorExpression:
         first = self.factors[0]
         if any(f != first for f in self.factors):
             raise ValueError("roots carry different factors")
-        single = self.copy()
-        single.scalar = Fraction(1)
-        single.factors = single.factors[:1]
-        return single.to_series(D)
+        return _lower_root(first, D)
 
     def evaluate(self, values: Sequence[float], nondegenerate: bool = False) -> float:
         """Numeric value with root i set to values[i] (spectral pairings)."""
@@ -253,32 +268,33 @@ def _check_mode(mode: str) -> None:
 
 
 def _assemble(kind: str, l: int) -> FactorExpression:
-    expr = FactorExpression(l)
+    """Build the factor every root carries on one root, then give each of
+    the l roots a copy and the scalar its l-th power."""
+    root = FactorExpression(1)
     half = Fraction(1, 2)
     if kind == "fb":
-        for i in range(l):
-            expr.mul_exp(i, half).mul_fermi_minus(i, 1)          # e^{x/2}(1+e^{-x})
-            expr.mul_power(i, 1).mul_exp(i, -half).mul_bose_minus(i, -1)
+        root.mul_exp(0, half).mul_fermi_minus(0, 1)          # e^{x/2}(1+e^{-x})
+        root.mul_power(0, 1).mul_exp(0, -half).mul_bose_minus(0, -1)
     elif kind == "ff":
-        for i in range(l):
-            expr.mul_exp(i, half).mul_fermi_minus(i, 1)
-            expr.mul_power(i, 1).mul_exp(i, -half).mul_fermi_minus(i, -1)
+        root.mul_exp(0, half).mul_fermi_minus(0, 1)
+        root.mul_power(0, 1).mul_exp(0, -half).mul_fermi_minus(0, -1)
     elif kind == "bb":
-        for i in range(l):
-            expr.mul_bose_minus(i, 1).mul_bose_plus(i, 1)        # dual character, roots +-x
-            expr.mul_power(i, 1).mul_bose_minus(i, -1)           # Todd factor at +x
-            expr.mul_scalar(-1).mul_power(i, 1).mul_bose_plus(i, -1)  # Todd factor at -x
-            expr.mul_power(i, -1)                                # 1/euler
-        if (l * (2 * l + 1)) % 2:
-            expr.mul_scalar(-1)
+        root.mul_bose_minus(0, 1).mul_bose_plus(0, 1)        # dual character, roots +-x
+        root.mul_power(0, 1).mul_bose_minus(0, -1)           # Todd factor at +x
+        root.mul_scalar(-1).mul_power(0, 1).mul_bose_plus(0, -1)  # Todd factor at -x
+        root.mul_power(0, -1)                                # 1/euler
     elif kind == "bf":
-        for i in range(l):
-            expr.mul_bose_minus(i, 1).mul_bose_plus(i, 1)
-            expr.mul_power(i, 1).mul_fermi_minus(i, -1)          # Td* factor at +x
-            expr.mul_scalar(-1).mul_power(i, 1).mul_fermi_plus(i, -1)  # Td* factor at -x
-            expr.mul_power(i, -1)
+        root.mul_bose_minus(0, 1).mul_bose_plus(0, 1)
+        root.mul_power(0, 1).mul_fermi_minus(0, -1)          # Td* factor at +x
+        root.mul_scalar(-1).mul_power(0, 1).mul_fermi_plus(0, -1)  # Td* factor at -x
+        root.mul_power(0, -1)
     else:
         raise AssertionError(kind)
+    expr = FactorExpression(l)
+    expr.scalar = root.scalar ** l
+    expr.factors = [replace(root.factors[0]) for _ in range(l)]
+    if kind == "bb" and (l * (2 * l + 1)) % 2:
+        expr.mul_scalar(-1)
     return expr
 
 

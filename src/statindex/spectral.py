@@ -16,9 +16,12 @@ Euler-Maclaurin route (numerical differentiation of the continued zeta
 function, Bernoulli corrections from the exact series core) guards the
 closed form against sign and convention slips.
 
-The four pairings reuse the factored algebra of the pairings module with
-numeric eigenvalue atoms, in the squared de-Rham/Todd convention that the
-grading identification lambda_i^+ = lambda_i^- produces.
+The four pairings are the pairings module's densities (``pairing_density``)
+evaluated with eigenvalues as numeric root values.  Its bb and bf densities
+pair every root x with -x, and in canonical form the pair reduces to the
+same per-root factor as the squared de-Rham/Todd convention that the
+grading identification lambda_i^+ = lambda_i^- produces, so one density
+serves both.
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .series import bernoulli_numbers
-from .statmech import TailBoundError
-from .pairings import PAIRING_KINDS, FactorExpression
+from .statmech import TailBoundError, _safe_exp
+from .pairings import PAIRING_KINDS, pairing_density
 
 __all__ = [
     "SpectralPairReport",
@@ -287,48 +289,18 @@ def formal_euler_class(spec: SpectrumSpec) -> float:
 # -- formal pairings -------------------------------------------------------------
 
 
-def _assemble_spectral(kind: str, n: int) -> FactorExpression:
-    expr = FactorExpression(n)
-    half = Fraction(1, 2)
-    if kind == "fb":
-        for i in range(n):
-            expr.mul_exp(i, half).mul_fermi_minus(i, 1)
-            expr.mul_power(i, 1).mul_exp(i, -half).mul_bose_minus(i, -1)
-    elif kind == "ff":
-        for i in range(n):
-            expr.mul_exp(i, half).mul_fermi_minus(i, 1)
-            expr.mul_power(i, 1).mul_exp(i, -half).mul_fermi_minus(i, -1)
-    elif kind == "bb":
-        for i in range(n):
-            expr.mul_bose_minus(i, 2)
-            expr.mul_power(i, 2).mul_bose_minus(i, -2)
-            expr.mul_power(i, -1)
-    elif kind == "bf":
-        for i in range(n):
-            expr.mul_bose_minus(i, 2)
-            expr.mul_power(i, 2).mul_fermi_minus(i, -2)
-            expr.mul_power(i, -1)
-    else:
-        raise ValueError(f"unknown pairing kind {kind!r}")
-    return expr
-
-
 def formal_pairing(spec: SpectrumSpec, kind: str, mode: str = "exact") -> float:
     """Numeric pairing density of a finite spectrum.
 
     ff and bb collapse to the plain eigenvalue product identically; fb and
     bf carry (1 -+ e^{-lambda}) correction factors that the nondegenerate
     substitution removes.  Affine spectra would need each infinite factor
-    regularized separately and are out of scope here.
+    regularized separately and are out of scope here.  The density is the
+    pairings module's ``pairing_density``, evaluated at the eigenvalues.
     """
-    if kind not in PAIRING_KINDS:
-        raise ValueError(f"unknown pairing kind {kind!r}")
-    if mode not in ("exact", "nondegenerate"):
-        raise ValueError(f"unknown mode {mode!r}")
     if spec.form != "finite":
         raise ValueError("formal pairings are defined for finite spectra")
-    expr = _assemble_spectral(kind, len(spec.eigenvalues))
-    return expr.evaluate(spec.eigenvalues, nondegenerate=(mode == "nondegenerate"))
+    return pairing_density(kind, len(spec.eigenvalues), mode).evaluate(spec.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -347,8 +319,8 @@ class SpectralPairReport:
             "chern_character": self.chern_character,
             "log_xi_be": self.log_xi_be,
             "log_xi_fd": self.log_xi_fd,
-            "xi_be": math.exp(self.log_xi_be),
-            "xi_fd": math.exp(self.log_xi_fd),
+            "xi_be": _safe_exp(self.log_xi_be),
+            "xi_fd": _safe_exp(self.log_xi_fd),
             "determinant": self.determinant,
             "euler_class": self.euler_class,
             "pairings": self.pairings,

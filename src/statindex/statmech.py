@@ -342,10 +342,15 @@ def correspondence_check(
     for c, s, e in zip(characters, sums, ensembles):
         scale = max(abs(c), abs(s), abs(e))
         worst = max(worst, abs(c - s) / scale, abs(c - e) / scale, abs(s - e) / scale)
-    total_character = math.exp(math.fsum(math.log(c) for c in characters)) if characters else 1.0
-    total_ensemble = grand_ensemble(system).xi
-    if total_ensemble not in (math.inf, 0.0):
-        worst = max(worst, abs(total_character - total_ensemble) / abs(total_ensemble))
+    log_character = math.fsum(math.log(c) for c in characters)
+    total_character = _safe_exp(log_character)
+    ensemble = grand_ensemble(system)
+    if total_character < math.inf and 0.0 < ensemble.xi < math.inf:
+        worst = max(worst, abs(total_character - ensemble.xi) / abs(ensemble.xi))
+    else:
+        # a total beyond binary64 range is compared through its logarithm:
+        # |Xi_char / Xi - 1| = |expm1(ln Xi_char - ln Xi)|
+        worst = max(worst, abs(math.expm1(log_character - ensemble.log_xi)))
     return CorrespondenceReport(
         system=system,
         character_values=tuple(characters),

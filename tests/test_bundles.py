@@ -13,7 +13,6 @@ from statindex.bundles import (
     lambda_minus1_dual,
     spinor_character,
     sym_fock_character,
-    thermal_pullback_roundtrip,
 )
 
 import reference_series as ref
@@ -143,14 +142,6 @@ def test_single_level_bose_fermi_product():
     fermi = ext_fock_character(m)
     product = bose_unit * fermi
     assert [product.coefficient((k,)) for k in range(D + 1)] == ref.fb_root_factor(D)
-
-
-def test_thermal_pullback_roundtrip_preserves_character():
-    m = model_of(("x", "y"), 3, ({"x": -2}, 1), ({"y": 1}, 2))
-    back = thermal_pullback_roundtrip(m)
-    assert chern_character(back) == chern_character(m)
-    empty = RootModel(("x",), 2, ())
-    assert thermal_pullback_roundtrip(empty).roots == ()
 
 
 def test_root_model_rejects_constant_or_quadratic_roots():

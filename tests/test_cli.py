@@ -167,14 +167,11 @@ _WIDE = ",".join(repr(0.1 + 9.9 * (k + 0.5) / 1000) for k in range(1000))
 @pytest.mark.parametrize(
     "argv, payload",
     [
-        (["stats", "{path}", "--check-correspondence"], _FD_HOT),
         (["zeta-det", "--finite", _WIDE], None),
         (["spectral", "{path}"], {"form": "finite", "eigenvalues": [1e-320]}),
         (["zeta-det", "--affine", "1", "1e300"], None),
-        (["--format", "json", "spectral", "{path}"], {"form": "affine", "a": 0.001, "c": 2.0}),
     ],
-    ids=["correspondence-overflow", "finite-det-overflow", "subnormal-eigenvalue",
-         "huge-affine-c", "affine-json-xi-overflow"],
+    ids=["finite-det-overflow", "subnormal-eigenvalue", "huge-affine-c"],
 )
 def test_arithmetic_errors_exit_2(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"
@@ -183,6 +180,45 @@ def test_arithmetic_errors_exit_2(tmp_path, capsys, argv, payload):
     code, _, err = run(capsys, *(arg.format(path=path) for arg in argv))
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
+def test_correspondence_overflow_is_compared_in_log_domain(tmp_path, capsys, fmt):
+    # ln Xi = 20 ln(1 + e^50), about 1000: Xi itself is beyond binary64
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_FD_HOT))
+    code, out, err = run(capsys, *fmt, "stats", str(path), "--check-correspondence")
+    assert (code, err) == (0, "")
+    if fmt:
+        payload = json.loads(out)
+        assert payload["xi"] == math.inf
+        check = payload["correspondence"]
+        assert check["ok"] and check["max_relative_deviation"] <= 1e-12
+    else:
+        assert "Xi                inf" in out
+        assert out.splitlines()[-1] == "correspondence    PASS (max deviation 0)"
+
+
+def test_affine_json_reports_overflowing_xi_as_inf(tmp_path, capsys):
+    # a = 0.001, c = 2: ln Xi_BE is about 1640 and ln Xi_FD about 820, so
+    # both totals are beyond binary64
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"form": "affine", "a": 0.001, "c": 2.0}))
+    code, out, err = run(capsys, "--format", "json", "spectral", str(path))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert 1600 < payload["log_xi_be"] < 1700
+    assert payload["xi_be"] == math.inf
+    assert payload["log_xi_fd"] > 710 and payload["xi_fd"] == math.inf
+    _, text, _ = run(capsys, "spectral", str(path))
+    assert f"ln Xi_BE          {payload['log_xi_be']:.17g}" in text
+
+
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--seed=1", "verify", "--all", "--l", "1"])
+    assert excinfo.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

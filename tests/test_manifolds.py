@@ -13,7 +13,6 @@ from statindex.manifolds import (
     evaluate_chern_polynomial,
     genus_class,
     genus_number,
-    integrate,
     product,
     torus,
 )
@@ -22,7 +21,7 @@ from statindex.manifolds import (
 def test_cp1_tangent_and_integration():
     model, tangent = cp(1)
     assert tangent.chern_class(model, 1) == TruncatedSeries(("h",), 1, {(1,): 2})
-    assert integrate(model, tangent.chern_class(model, 1)) == 2
+    assert model.integrate(tangent.chern_class(model, 1)) == 2
 
 
 def test_cp2_tangent_values():
@@ -34,9 +33,9 @@ def test_cp2_tangent_values():
 def test_integrate_reads_top_coefficient_only():
     model, _ = cp(2)
     cls = TruncatedSeries(("h",), 2, {(2,): 5})
-    assert integrate(model, cls) == 5
-    assert integrate(model, TruncatedSeries(("h",), 2, {(1,): 1})) == 0
-    assert integrate(model, model.one()) == 0
+    assert model.integrate(cls) == 5
+    assert model.integrate(TruncatedSeries(("h",), 2, {(1,): 1})) == 0
+    assert model.integrate(model.one()) == 0
 
 
 def test_nilpotency_reduction():
@@ -50,7 +49,7 @@ def test_todd_polynomial_on_cp2():
     todd2 = genus_polynomial("todd", 2)
     element = evaluate_chern_polynomial(todd2, tangent, model)
     assert element == TruncatedSeries(("h",), 2, {(2,): 1})
-    assert integrate(model, element) == 1
+    assert model.integrate(element) == 1
 
 
 def test_pontryagin_evaluation_on_cp2():
@@ -84,7 +83,7 @@ def test_torus_genera_vanish(l):
 def test_rank_above_dimension_truncates_naturally():
     model, tangent = cp(1)
     todd2 = genus_polynomial("todd", 2)  # rank 2 polynomial on a curve
-    assert integrate(model, evaluate_chern_polynomial(todd2, tangent, model)) == 0
+    assert model.integrate(evaluate_chern_polynomial(todd2, tangent, model)) == 0
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from statindex.genera import euler_class_roots
+from statindex.genera import euler_class_roots, generating_series
 from statindex.bundles import RootModel
 from statindex.manifolds import catalog
+from statindex.series import TruncatedSeries
 from statindex.pairings import (
     FactorExpression,
     PAIRING_KINDS,
@@ -156,6 +157,41 @@ def test_uncancelled_pole_is_reported():
     expr.mul_bose_minus(0, -1)
     with pytest.raises(PoleError):
         expr.to_series(4)
+
+
+def _one_root(build):
+    expr = FactorExpression(1)
+    build(expr)
+    return expr
+
+
+def test_to_series_is_product_of_one_root_lowerings():
+    # four roots, three distinct factors (x1 and x4 carry the same one)
+    builders = [
+        lambda e: e.mul_power(0, 2).mul_exp(0, Fraction(1, 3)),
+        lambda e: e.mul_power(0, 1).mul_bose_minus(0, -1).mul_fermi_minus(0, 2),
+        lambda e: e.mul_bose_plus(0, 1).mul_fermi_plus(0, -1),
+        lambda e: e.mul_power(0, 2).mul_exp(0, Fraction(1, 3)),
+    ]
+    expr = FactorExpression(4).mul_scalar(Fraction(-2, 3))
+    for i, build in enumerate(builders):
+        one = _one_root(build)
+        expr.scalar *= one.scalar
+        expr.factors[i] = one.factors[0]
+    D = 7
+    variables = ("x1", "x2", "x3", "x4")
+    expected = TruncatedSeries.constant(variables, D, Fraction(-2, 3))
+    for name, build in zip(variables, builders):
+        one = _one_root(build)
+        lowered = one.root_factor(D) * one.scalar
+        expected = expected * lowered.rename({"x1": name}).embed(variables, D)
+    assert expr.to_series(D) == expected
+    assert expr.scalar == Fraction(2, 3)
+
+
+def test_root_factor_matches_literal_todd_factor():
+    todd = _one_root(lambda e: e.mul_power(0, 1).mul_bose_minus(0, -1))
+    assert todd.root_factor(6) == generating_series("todd", 6).rename({"x": "x1"})
 
 
 def test_factor_expression_numeric_evaluation():
