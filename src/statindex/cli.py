@@ -43,9 +43,15 @@ class RunConfig:
     tolerance: float = 1e-12
 
     def __post_init__(self):
+        if self.degree is not None and (
+            isinstance(self.degree, bool) or not isinstance(self.degree, int)
+        ):
+            raise ValueError(f"degree must be an integer, got {self.degree!r}")
+        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, (int, float)):
+            raise ValueError(f"tolerance must be a number, got {self.tolerance!r}")
         if self.degree is not None and self.degree < 0:
             raise ValueError("degree must be >= 0")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # also rejects nan
             raise ValueError("tolerance must be positive")
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}")
@@ -126,6 +132,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
+        if not isinstance(raw, dict):
+            raise _CliError("config file must hold a JSON object")
         for key in ("degree", "tolerance"):
             if key in raw:
                 values[key] = raw[key]

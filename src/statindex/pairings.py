@@ -224,7 +224,13 @@ class FactorExpression:
                 out *= _fexp(float(f.exp_coeff) * lam)
             if not nondegenerate:
                 if f.bose:
-                    out *= (1.0 - _fexp(-lam)) ** f.bose
+                    base = 1.0 - _fexp(-lam)
+                    if not base and f.bose < 0:
+                        raise ValueError(
+                            f"eigenvalue {lam!r} is too small: 1 - exp(-{lam!r}) "
+                            "rounds to 0 and cannot be inverted"
+                        )
+                    out *= base ** f.bose
                 if f.fermi:
                     out *= (1.0 + _fexp(-lam)) ** f.fermi
         return out

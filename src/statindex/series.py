@@ -6,6 +6,15 @@ tuples to nonzero Fraction coefficients, so two series over the same
 variables and truncation are equal iff their term dicts are equal, and no
 operation ever leaves exact arithmetic.
 
+Products, inverses and exponentials share one graded convolution kernel.
+Each operand is grouped by total degree (degree buckets), so only term
+pairs whose degrees sum to at most D are ever visited, and is scaled once
+to integer numerators over the lcm of its denominators (the common
+denominator), so pairs accumulate as plain ints and each output term
+becomes one normalised Fraction.  ``invert`` and ``exp`` solve a graded
+recurrence on homogeneous parts with the same kernel instead of repeated
+full products.
+
 Instances are immutable by convention: every operation returns a fresh
 series and nothing mutates ``terms`` after construction, so values may be
 shared freely across threads.
@@ -14,7 +23,8 @@ shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 Exponents = Tuple[int, ...]
@@ -59,6 +69,40 @@ def _coerce(value) -> Fraction:
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
 
 
+# -- graded convolution kernel -------------------------------------------------
+#
+# Integer form of a series: one denominator and, per total degree d, the list
+# of (exponents, integer numerator) of its degree-d terms.
+
+Part = List[Tuple[Exponents, int]]
+
+
+def _integer_parts(terms: Mapping[Exponents, Fraction], D: int) -> Tuple[int, List[Part]]:
+    """(den, parts): parts[d] holds the degree-d terms as numerators over den,
+    the lcm of every denominator in ``terms``."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    parts: List[Part] = [[] for _ in range(D + 1)]
+    for exps, coeff in terms.items():
+        parts[sum(exps)].append((exps, coeff.numerator * (den // coeff.denominator)))
+    return den, parts
+
+
+def _convolve(acc: Dict[Exponents, int], left: Part, right: Part, weight: int = 1) -> None:
+    """acc[ea + eb] += weight * na * nb for every pair of terms; the caller
+    chooses the parts so that every pair is within the truncation."""
+    get = acc.get
+    for ea, na in left:
+        na *= weight
+        for eb, nb in right:
+            exps = tuple(map(add, ea, eb))
+            acc[exps] = get(exps, 0) + na * nb
+
+
+def _fractions(acc: Mapping[Exponents, int], num: int, den: int) -> Dict[Exponents, Fraction]:
+    """The nonzero accumulated numerators, each times num/den, as Fractions."""
+    return {exps: Fraction(n * num, den) for exps, n in acc.items() if n}
+
+
 class TruncatedSeries:
     """Multivariate power series with exact coefficients, truncated at total degree D."""
 
@@ -92,6 +136,19 @@ class TruncatedSeries:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(
+        cls, variables: Tuple[str, ...], truncation: int, terms: Dict[Exponents, Fraction]
+    ) -> "TruncatedSeries":
+        """Wrap kernel output without re-validation: ``terms`` must already
+        hold in-bound exponent tuples of the right arity and nonzero
+        Fractions, and ``variables`` be a tuple of distinct names."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "variables", variables)
+        object.__setattr__(out, "truncation", truncation)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -161,12 +218,13 @@ class TruncatedSeries:
         self._check_compatible(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = terms.get(exps, Fraction(0)) + coeff
+            prev = terms.get(exps)
+            acc = coeff if prev is None else prev + coeff
             if acc:
                 terms[exps] = acc
             else:
-                terms.pop(exps, None)
-        return TruncatedSeries(self.variables, self.truncation, terms)
+                del terms[exps]
+        return TruncatedSeries._trusted(self.variables, self.truncation, terms)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
@@ -174,16 +232,24 @@ class TruncatedSeries:
         return self + (-other)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(
+        return TruncatedSeries._trusted(
             self.variables, self.truncation, {e: -c for e, c in self.terms.items()}
         )
 
     def __mul__(self, other) -> "TruncatedSeries":
+        """Truncated product, or scaling by an int or Fraction.
+
+        Both operands are put into integer form over their own common
+        denominator and grouped into degree buckets; each degree-a bucket of
+        self meets only the other's terms of degree <= D - a, the int
+        products accumulate per monomial, and every output coefficient is
+        one Fraction over the product of the two denominators.
+        """
         if isinstance(other, (int, Fraction)):
             scalar = _coerce(other)
             if not scalar:
                 return TruncatedSeries.zero(self.variables, self.truncation)
-            return TruncatedSeries(
+            return TruncatedSeries._trusted(
                 self.variables,
                 self.truncation,
                 {e: c * scalar for e, c in self.terms.items()},
@@ -191,20 +257,21 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        bound = self.truncation
-        terms: Dict[Exponents, Fraction] = {}
-        for ea, ca in self.terms.items():
-            da = sum(ea)
-            for eb, cb in other.terms.items():
-                if da + sum(eb) > bound:
-                    continue
-                exps = tuple(a + b for a, b in zip(ea, eb))
-                acc = terms.get(exps, Fraction(0)) + ca * cb
-                if acc:
-                    terms[exps] = acc
-                else:
-                    terms.pop(exps, None)
-        return TruncatedSeries(self.variables, self.truncation, terms)
+        D = self.truncation
+        den_a, parts_a = _integer_parts(self.terms, D)
+        den_b, parts_b = _integer_parts(other.terms, D)
+        upto: List[Part] = []  # upto[d]: the other's terms of degree <= d
+        flat: Part = []
+        for part in parts_b:
+            flat = flat + part
+            upto.append(flat)
+        acc: Dict[Exponents, int] = {}
+        for d, part in enumerate(parts_a):
+            if part:
+                _convolve(acc, part, upto[D - d])
+        return TruncatedSeries._trusted(
+            self.variables, D, _fractions(acc, 1, den_a * den_b)
+        )
 
     __rmul__ = __mul__
 
@@ -222,54 +289,67 @@ class TruncatedSeries:
                 base = base * base
         return result
 
+    def _graded_solve(
+        self, den_g: int, parts_g: List[Part], first: Fraction, scales: Sequence[Fraction]
+    ) -> "TruncatedSeries":
+        """The series R with R_0 = first and, for d = 1..D,
+        R_d = scales[d] * sum_{k=1..d} G_k R_{d-k} on homogeneous parts,
+        where G_k = parts_g[k] / den_g.
+
+        Each R_d is normalised to Fractions once, then kept in integer form
+        over the lcm of its own denominators for the later degrees.
+        """
+        D = self.truncation
+        zero_exps = (0,) * len(self.variables)
+        terms: Dict[Exponents, Fraction] = {zero_exps: first}
+        dens = [first.denominator]
+        parts_r: List[Part] = [[(zero_exps, first.numerator)]]
+        for d in range(1, D + 1):
+            ks = [k for k in range(1, d + 1) if parts_g[k] and parts_r[d - k]]
+            den = lcm(*[dens[d - k] for k in ks])
+            acc: Dict[Exponents, int] = {}
+            for k in ks:
+                _convolve(acc, parts_g[k], parts_r[d - k], den // dens[d - k])
+            scale = scales[d]
+            part = _fractions(acc, scale.numerator, scale.denominator * den_g * den)
+            terms.update(part)
+            dens.append(lcm(*[c.denominator for c in part.values()]))
+            parts_r.append(
+                [(e, c.numerator * (dens[d] // c.denominator)) for e, c in part.items()]
+            )
+        return TruncatedSeries._trusted(self.variables, D, terms)
+
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the truncation degree.
 
-        Uses the graded recurrence B_d = -(1/a_0) * sum_{k=1..d} A_k B_{d-k}
-        on homogeneous components, so cost stays proportional to the number
-        of stored terms.
+        Solves the graded recurrence B_0 = 1/a_0,
+        B_d = -(1/a_0) * sum_{k=1..d} A_k B_{d-k} on homogeneous parts with
+        the convolution kernel: A in integer form over one common
+        denominator, each B_d over the lcm of its own denominators.
         """
         a0 = self.constant_term()
         if not a0:
             raise NonUnitError("cannot invert series with zero constant term")
-        D = self.truncation
-        parts_a: List[Dict[Exponents, Fraction]] = [dict() for _ in range(D + 1)]
-        for exps, coeff in self.terms.items():
-            parts_a[sum(exps)][exps] = coeff
-        zero_exps = (0,) * len(self.variables)
-        inv0 = 1 / a0
-        parts_b: List[Dict[Exponents, Fraction]] = [dict() for _ in range(D + 1)]
-        parts_b[0][zero_exps] = inv0
-        for d in range(1, D + 1):
-            acc: Dict[Exponents, Fraction] = {}
-            for k in range(1, d + 1):
-                ak = parts_a[k]
-                bk = parts_b[d - k]
-                if not ak or not bk:
-                    continue
-                for ea, ca in ak.items():
-                    for eb, cb in bk.items():
-                        exps = tuple(a + b for a, b in zip(ea, eb))
-                        acc[exps] = acc.get(exps, Fraction(0)) + ca * cb
-            parts_b[d] = {e: -c * inv0 for e, c in acc.items() if c}
-        terms: Dict[Exponents, Fraction] = {}
-        for part in parts_b:
-            terms.update(part)
-        return TruncatedSeries(self.variables, self.truncation, terms)
+        den, parts = _integer_parts(self.terms, self.truncation)
+        step = -1 / a0
+        return self._graded_solve(den, parts, 1 / a0, [step] * (self.truncation + 1))
 
     def exp(self) -> "TruncatedSeries":
-        """Exponential sum_{k<=D} self^k / k!; requires zero constant term."""
+        """Exponential sum_{k<=D} self^k / k!; requires zero constant term.
+
+        With the Euler operator theta = sum_i x_i d/dx_i, E = exp(F)
+        satisfies theta E = E theta F, which on homogeneous parts reads
+        d E_d = sum_{k=1..d} k F_k E_{d-k} in any number of variables, so E
+        is built degree by degree in one pass (E_0 = 1) rather than from
+        D successive products.
+        """
         if self.constant_term():
             raise ValueError("series exponential requires zero constant term")
-        one = TruncatedSeries.constant(self.variables, self.truncation, 1)
-        acc = one
-        power = one
-        for k in range(1, self.truncation + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            acc = acc + power * Fraction(1, factorial(k))
-        return acc
+        D = self.truncation
+        den, parts = _integer_parts(self.terms, D)
+        weighted = [[(e, k * n) for e, n in part] for k, part in enumerate(parts)]
+        scales = [Fraction(1)] + [Fraction(1, d) for d in range(1, D + 1)]
+        return self._graded_solve(den, weighted, Fraction(1), scales)
 
     def quotient_by(self, name: str) -> "TruncatedSeries":
         """Divide by a variable; every term must contain it.  Truncation drops by 1."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from .series import bernoulli_numbers
-from .statmech import TailBoundError, _safe_exp
+from .statmech import TailBoundError, _require_keys, _safe_exp, _to_float, _to_floats
 from .pairings import PAIRING_KINDS, pairing_density
 
 __all__ = [
@@ -66,7 +66,7 @@ class SpectrumSpec:
 
     def __post_init__(self):
         if self.form == "finite":
-            eigs = tuple(float(x) for x in self.eigenvalues)
+            eigs = _to_floats(self.eigenvalues, "eigenvalues")
             if not eigs:
                 raise ValueError("finite spectrum needs at least one eigenvalue")
             if not all(0 < x < math.inf for x in eigs):
@@ -80,7 +80,7 @@ class SpectrumSpec:
 
     @classmethod
     def finite(cls, eigenvalues: Sequence[float], graded: bool = False) -> "SpectrumSpec":
-        return cls(form="finite", eigenvalues=tuple(eigenvalues), graded=graded)
+        return cls(form="finite", eigenvalues=eigenvalues, graded=graded)
 
     @classmethod
     def affine(cls, a: float, c: float, graded: bool = False) -> "SpectrumSpec":
@@ -97,10 +97,15 @@ class SpectrumSpec:
 
     @classmethod
     def from_json_dict(cls, data) -> "SpectrumSpec":
+        _require_keys(data, ("form",), "spectrum")
         graded = bool(data.get("grading", False))
         if data["form"] == "finite":
+            _require_keys(data, ("eigenvalues",), "finite spectrum")
             return cls.finite(data["eigenvalues"], graded=graded)
-        return cls.affine(float(data["a"]), float(data["c"]), graded=graded)
+        if data["form"] != "affine":
+            raise ValueError(f"unknown spectrum form {data['form']!r}")
+        _require_keys(data, ("a", "c"), "affine spectrum")
+        return cls.affine(_to_float(data["a"], "a"), _to_float(data["c"], "c"), graded=graded)
 
 
 def _affine_terms(spec: SpectrumSpec, tol: float, max_terms: int = 2_000_000):

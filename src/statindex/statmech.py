@@ -51,6 +51,33 @@ def _check_statistics(statistics: str) -> None:
         raise ValueError(f"unknown statistics {statistics!r}; expected one of {STATISTICS}")
 
 
+def _require_keys(data, keys, what: str) -> None:
+    """ValueError unless the decoded JSON ``data`` is an object holding every key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{what} lacks required key(s): {', '.join(missing)}")
+
+
+def _to_float(value, what: str) -> float:
+    try:
+        return float(value)
+    except TypeError:
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
+def _to_floats(values, what: str) -> Tuple[float, ...]:
+    """A list of numbers as floats; a string is rejected rather than read
+    character by character."""
+    if isinstance(values, str):
+        raise ValueError(f"{what} must be a list of numbers, got the string {values!r}")
+    try:
+        return tuple(map(float, values))
+    except TypeError:
+        raise ValueError(f"{what} must be a list of numbers") from None
+
+
 def level_partition(statistics: str, x: float) -> float:
     """Single-level grand partition function at argument x = beta*(eps - mu)."""
     if statistics == "BE":
@@ -125,7 +152,7 @@ class LevelSystem:
     kB: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(float(e) for e in self.levels))
+        object.__setattr__(self, "levels", _to_floats(self.levels, "levels"))
         _check_statistics(self.statistics)
         if self.beta <= 0:
             raise ValueError("beta must be positive")
@@ -166,12 +193,13 @@ class LevelSystem:
 
     @classmethod
     def from_json_dict(cls, data) -> "LevelSystem":
+        _require_keys(data, ("levels", "statistics"), "level system")
         return cls(
-            levels=tuple(data["levels"]),
-            mu=float(data.get("mu", 0.0)),
-            beta=float(data.get("beta", 1.0)),
+            levels=data["levels"],
+            mu=_to_float(data.get("mu", 0.0), "mu"),
+            beta=_to_float(data.get("beta", 1.0), "beta"),
             statistics=str(data["statistics"]),
-            kB=float(data.get("kB", 1.0)),
+            kB=_to_float(data.get("kB", 1.0), "kB"),
         )
 
 

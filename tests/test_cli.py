@@ -229,9 +229,63 @@ def test_seed_flag_is_gone(capsys):
         ["zeta-det", "--finite", "1,inf"],
         ["zeta-det", "--affine", "nan", "1"],
         ["zeta-det", "--affine", "1", "inf"],
+        ["--tolerance", "nan", "zeta-det", "--affine", "1", "1"],
     ],
 )
 def test_inputs_without_a_meaningful_answer_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, payload, named",
+    [
+        ("stats", {"levels": [1.0]}, "statistics"),
+        ("stats", {"statistics": "FD"}, "levels"),
+        ("stats", [1.0], "JSON object"),
+        ("stats", {"levels": "12", "statistics": "FD"}, "'12'"),
+        ("stats", {"levels": [None], "statistics": "FD"}, "list of numbers"),
+        ("spectral", {"form": "finite"}, "eigenvalues"),
+        ("spectral", {"eigenvalues": [1.0]}, "form"),
+        ("spectral", {"form": "affine", "a": 1.0}, "c"),
+        ("spectral", {"form": "periodic"}, "unknown spectrum form 'periodic'"),
+        ("spectral", {"form": "affine", "a": None, "c": 1.0}, "a must be a number"),
+        ("spectral", {"form": "finite", "eigenvalues": "12"}, "'12'"),
+        ("spectral", {"form": "finite", "eigenvalues": 12}, "list of numbers"),
+    ],
+)
+def test_malformed_input_files_exit_2(tmp_path, capsys, command, payload, named):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"degree": "3"}, "degree"),
+        ({"degree": True}, "degree"),
+        ({"degree": 3.0}, "degree"),
+        ({"tolerance": "x"}, "tolerance"),
+        ({"tolerance": [1e-9]}, "tolerance"),
+        (["degree"], "JSON object"),
+    ],
+)
+def test_mistyped_config_values_exit_2(tmp_path, capsys, config, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "--config", str(path), "verify", "--all", "--l", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("eigenvalue", [1e-17, 1e-320])
+def test_eigenvalue_too_small_to_invert_is_named(tmp_path, capsys, eigenvalue):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"form": "finite", "eigenvalues": [2.0, eigenvalue]}))
+    code, out, err = run(capsys, "spectral", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: eigenvalue {eigenvalue!r} is too small")
