@@ -4,7 +4,11 @@ Subcommands: genus, index, verify, stats, zeta-det, spectral.  Exit codes:
 0 on success, 1 when a verification fails, 2 on input or domain errors,
 including floating-point overflow that leaves no answer to print.
 Exact values are printed as p/q, numeric values with 17 significant
-digits, and identical inputs always produce byte-identical output.
+digits, and identical inputs always produce byte-identical output.  JSON
+output (``--format json``) is byte-identical to
+``json.dumps(payload, indent=2, sort_keys=True)``; one small writer emits it
+for every command, because the standard library falls back to its
+pure-Python encoder whenever an indent is set.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import List, Optional, Sequence
 
 from .series import format_rational
 from .symmetric import poly_str
@@ -65,8 +70,94 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _json_float(value: float) -> str:
+    if value - value == 0.0:  # finite
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+def _json_scalar(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+# exact types whose text needs no further test
+_SCALAR_TEXT = {float: _json_float, str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        # bool, int, float and None keys become strings, as json writes them
+        return '"' + _json_scalar(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_json(value, parts: List[str], indent: str) -> None:
+    """Append the text of ``value`` at the nesting whose line break and
+    indentation is ``indent``."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        parts.append(scalar(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        separator = "," + inner
+        opening = "{" + inner
+        for key, item in sorted(value.items()):
+            parts.append(opening)
+            parts.append(_json_key(key))
+            parts.append(": ")
+            _write_json(item, parts, inner)
+            opening = separator
+        parts.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        separator = "," + inner
+        if all(type(item) is float for item in value):
+            text = separator.join(map(float.__repr__, value))
+            if "n" in text:  # inf or nan, which JSON spells differently
+                text = separator.join(map(_json_float, value))
+            parts.append("[" + inner + text + indent + "]")
+            return
+        opening = "[" + inner
+        for item in value:
+            parts.append(opening)
+            _write_json(item, parts, inner)
+            opening = separator
+        parts.append(indent + "]")
+    else:
+        parts.append(_json_scalar(value))
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte."""
+    parts: List[str] = []
+    _write_json(payload, parts, "\n")
+    return "".join(parts)
+
+
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -271,12 +362,11 @@ def _cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
         payload = report.to_json_dict()
         if args.check_correspondence:
             payload["correspondence"] = correspondence_check(
-                system, tol=config.tolerance
+                system, tol=config.tolerance, ensemble=report
             ).to_json_dict()
         _emit_json(payload)
     elif config.fmt == "csv":
-        for row in report.csv_rows():
-            print(",".join(row))
+        sys.stdout.write(report.csv_text())
     else:
         print(f"statistics        {system.statistics}")
         print(f"levels            {len(system.levels)}")
@@ -285,7 +375,7 @@ def _cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
         print(f"Omega             {_fmt_float(report.omega)}")
         print(f"mean N            {_fmt_float(report.mean_particle_number)}")
     if args.check_correspondence and config.fmt != "json":
-        check = correspondence_check(system, tol=config.tolerance)
+        check = correspondence_check(system, tol=config.tolerance, ensemble=report)
         status = "PASS" if check.ok else "FAIL"
         print(
             f"correspondence    {status} "

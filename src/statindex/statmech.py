@@ -7,15 +7,24 @@ epsilon - mu and the Chern root y = -beta * x_sheaf = -x.  Both views are
 exposed explicitly (thermo_arguments / chern_roots) and never converted
 silently.
 
-Totals over many levels are accumulated in the log domain so that systems
-with thousands of levels do not overflow the linear-domain product.
+Per-level values come from one kernel per statistics, chosen once per
+system: a pair of list comprehensions over the level arguments, one for
+ln Xi_level and one for the occupation n.  The scalar functions
+``log_level_partition`` and ``occupation`` run the same kernels on a single
+level, so a level's values do not depend on the route that asked for them.
+An occupation comprehension that overflows is redone level by level: far
+above mu, where e^x exceeds the float range, n = e^{-x}/(1 -/+ e^{-x})
+rounds to e^{-x}, a subnormal number or 0.  A per-level Xi that overflows
+is reported as Infinity.  Totals over many levels are accumulated in the
+log domain with ``math.fsum`` so that systems with thousands of levels do
+not overflow the linear-domain product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bundles import DivergenceError, fock_character_value
 
@@ -78,13 +87,69 @@ def _to_floats(values, what: str) -> Tuple[float, ...]:
         raise ValueError(f"{what} must be a list of numbers") from None
 
 
+_BOSE_SUM_DIVERGES = "bosonic level sum diverges for x = {x} <= 0 (needs eps > mu)"
+
+# a per-level kernel: one value per level argument x
+_Kernel = Callable[[Sequence[float]], List[float]]
+
+
+def _occupations(kernel: _Kernel, xs: Sequence[float]) -> List[float]:
+    """A quantum occupation kernel over ``xs``, redone level by level when it
+    overflows: where e^x is beyond the float range, n = e^{-x} < 2^-1022."""
+    try:
+        return kernel(xs)
+    except OverflowError:
+        pass
+    out = []
+    for x in xs:
+        try:
+            out.append(kernel((x,))[0])
+        except OverflowError:
+            out.append(math.exp(-x))
+    return out
+
+
+def _be_logs(xs: Sequence[float]) -> List[float]:
+    exp, log1p = math.exp, math.log1p
+    return [-log1p(-exp(-x)) for x in xs]
+
+
+def _be_occupations(xs: Sequence[float]) -> List[float]:
+    expm1 = math.expm1
+    return [1.0 / expm1(x) for x in xs]
+
+
+def _fd_logs(xs: Sequence[float]) -> List[float]:
+    exp, log1p = math.exp, math.log1p
+    # below -40, log(1 + e^{-x}) = -x + log(1 + e^{x}) and e^{x} < 5e-18
+    return [-x if x < -40.0 else log1p(exp(-x)) for x in xs]
+
+
+def _fd_occupations(xs: Sequence[float]) -> List[float]:
+    exp = math.exp
+    return [1.0 / (exp(x) + 1.0) for x in xs]
+
+
+def _mb_logs(xs: Sequence[float]) -> List[float]:
+    """The classical (Poisson) level sum exp(e^{-x}) has log e^{-x}, which is
+    also the occupation."""
+    exp = math.exp
+    return [exp(-x) for x in xs]
+
+
+# statistics -> (ln Xi_level kernel, occupation kernel)
+_KERNELS: Dict[str, Tuple[_Kernel, _Kernel]] = {
+    "BE": (_be_logs, _be_occupations),
+    "FD": (_fd_logs, _fd_occupations),
+    "MB": (_mb_logs, _mb_logs),
+}
+
+
 def level_partition(statistics: str, x: float) -> float:
     """Single-level grand partition function at argument x = beta*(eps - mu)."""
     if statistics == "BE":
         if x <= 0:
-            raise ConvergenceError(
-                f"bosonic level sum diverges for x = {x} <= 0 (needs eps > mu)"
-            )
+            raise ConvergenceError(_BOSE_SUM_DIVERGES.format(x=x))
         return 1.0 / (-math.expm1(-x))
     if statistics == "FD":
         return 1.0 + math.exp(-x)
@@ -95,32 +160,21 @@ def log_level_partition(statistics: str, x: float) -> float:
     """ln of the single-level partition function; MB uses the classical
     (Poisson) level sum exp(e^{-x}), whose log is simply e^{-x}."""
     _check_statistics(statistics)
-    if statistics == "BE":
-        if x <= 0:
-            raise ConvergenceError(
-                f"bosonic level sum diverges for x = {x} <= 0 (needs eps > mu)"
-            )
-        return -math.log1p(-math.exp(-x))
-    if statistics == "FD":
-        if x < -40.0:
-            # log(1 + e^{-x}) = -x + log(1 + e^{x}) and e^{x} < 5e-18 here
-            return -x
-        return math.log1p(math.exp(-x))
-    return math.exp(-x)
+    if statistics == "BE" and x <= 0:
+        raise ConvergenceError(_BOSE_SUM_DIVERGES.format(x=x))
+    return _KERNELS[statistics][0]((x,))[0]
 
 
 def occupation(statistics: str, x: float) -> float:
-    """Mean occupation of a level: 1/(e^x - 1), 1/(e^x + 1) or e^{-x}."""
+    """Mean occupation of a level: 1/(e^x - 1), 1/(e^x + 1) or e^{-x}.
+
+    Far above mu, where e^x overflows, the quantum occupations are e^{-x}
+    (a subnormal number, or 0.0).
+    """
     _check_statistics(statistics)
-    if statistics == "BE":
-        if x <= 0:
-            raise ConvergenceError(
-                f"Bose-Einstein occupation diverges for x = {x} <= 0"
-            )
-        return 1.0 / math.expm1(x)
-    if statistics == "FD":
-        return 1.0 / (math.exp(x) + 1.0)
-    return math.exp(-x)
+    if statistics == "BE" and x <= 0:
+        raise ConvergenceError(f"Bose-Einstein occupation diverges for x = {x} <= 0")
+    return _occupations(_KERNELS[statistics][1], (x,))[0]
 
 
 def occupation_by_derivative(statistics: str, x: float, h: float) -> float:
@@ -152,19 +206,25 @@ class LevelSystem:
     kB: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", _to_floats(self.levels, "levels"))
+        levels = _to_floats(self.levels, "levels")
+        object.__setattr__(self, "levels", levels)
         _check_statistics(self.statistics)
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.kB <= 0:
-            raise ValueError("kB must be positive")
-        if self.statistics == "BE":
-            for idx, eps in enumerate(self.levels):
-                if eps - self.mu <= 0:
-                    raise ConvergenceError(
-                        f"level {idx} (eps = {eps}) does not satisfy eps > mu = {self.mu}; "
-                        "the bosonic occupation sum diverges"
-                    )
+        if not all(map(math.isfinite, levels)):
+            idx = next(i for i, eps in enumerate(levels) if not math.isfinite(eps))
+            raise ValueError(f"levels must be finite; level {idx} is {levels[idx]}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        for name in ("beta", "kB"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        # eps - mu is monotone in eps, so the lowest level decides
+        if self.statistics == "BE" and levels and min(levels) - self.mu <= 0:
+            idx, eps = next((i, eps) for i, eps in enumerate(levels) if eps - self.mu <= 0)
+            raise ConvergenceError(
+                f"level {idx} (eps = {eps}) does not satisfy eps > mu = {self.mu}; "
+                "the bosonic occupation sum diverges"
+            )
 
     @property
     def temperature(self) -> float:
@@ -172,7 +232,8 @@ class LevelSystem:
 
     def thermo_arguments(self) -> Tuple[float, ...]:
         """x_i = alpha + beta*eps_i = beta*(eps_i - mu)."""
-        return tuple(self.beta * (eps - self.mu) for eps in self.levels)
+        beta, mu = self.beta, self.mu
+        return tuple([beta * (eps - mu) for eps in self.levels])
 
     def sheaf_arguments(self) -> Tuple[float, ...]:
         """x_i = eps_i - mu, the convention with beta kept outside."""
@@ -205,9 +266,11 @@ class LevelSystem:
 
 @dataclass(frozen=True)
 class EnsembleReport:
-    """Per-level and total grand canonical quantities."""
+    """Per-level and total grand canonical quantities; ``arguments`` holds
+    the level arguments x_i = beta*(eps_i - mu) they were computed from."""
 
     system: LevelSystem
+    arguments: Tuple[float, ...]
     per_level_xi: Tuple[float, ...]
     per_level_occupation: Tuple[float, ...]
     log_xi: float
@@ -231,22 +294,23 @@ class EnsembleReport:
             "temperature": self.system.temperature,
         }
 
+    def csv_text(self) -> str:
+        """The CSV table, one line per level after the header; floats with
+        17 significant digits."""
+        rows = zip(
+            range(len(self.arguments)),
+            self.system.levels,
+            self.arguments,
+            self.per_level_xi,
+            self.per_level_occupation,
+        )
+        return "level,epsilon,x,xi,occupation\n" + "".join(
+            ["%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows]
+        )
+
     def csv_rows(self) -> List[Tuple[str, ...]]:
-        rows = [("level", "epsilon", "x", "xi", "occupation")]
-        for idx, (eps, x, xi, n) in enumerate(
-            zip(
-                self.system.levels,
-                self.system.thermo_arguments(),
-                self.per_level_xi,
-                self.per_level_occupation,
-            )
-        ):
-            rows.append((str(idx), _fmt(eps), _fmt(x), _fmt(xi), _fmt(n)))
-        return rows
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+        """The CSV table as rows of fields, header first."""
+        return [tuple(line.split(",")) for line in self.csv_text().splitlines()]
 
 
 def _safe_exp(value: float) -> float:
@@ -257,21 +321,34 @@ def _safe_exp(value: float) -> float:
 
 
 def grand_ensemble(system: LevelSystem) -> EnsembleReport:
-    """Full ensemble report; the total Xi is accumulated in the log domain."""
+    """Full ensemble report in one pass over the levels.
+
+    The statistics' kernel gives ln Xi_level and n for every level; the
+    per-level Xi is exp of the logs (Infinity where that overflows) and the
+    total ln Xi is their ``math.fsum``, so the total Xi is accumulated in the
+    log domain.  Occupations far above mu underflow to e^{-x} instead of
+    overflowing; see the module docstring.
+    """
     xs = system.thermo_arguments()
-    stat = system.statistics
-    per_xi = tuple(_safe_exp(log_level_partition(stat, x)) for x in xs)
-    per_n = tuple(occupation(stat, x) for x in xs)
-    log_xi = math.fsum(log_level_partition(stat, x) for x in xs)
-    xi = _safe_exp(log_xi)
-    omega = -log_xi / system.beta
+    if system.statistics == "BE" and xs and min(xs) <= 0:
+        raise ConvergenceError(_BOSE_SUM_DIVERGES.format(x=next(x for x in xs if x <= 0)))
+    log_kernel, occupation_kernel = _KERNELS[system.statistics]
+    logs = log_kernel(xs)
+    per_n = logs if occupation_kernel is log_kernel else _occupations(occupation_kernel, xs)
+    exp = math.exp
+    try:
+        per_xi = [exp(v) for v in logs]
+    except OverflowError:
+        per_xi = [_safe_exp(v) for v in logs]
+    log_xi = math.fsum(logs)
     return EnsembleReport(
         system=system,
-        per_level_xi=per_xi,
-        per_level_occupation=per_n,
+        arguments=xs,
+        per_level_xi=tuple(per_xi),
+        per_level_occupation=tuple(per_n),
         log_xi=log_xi,
-        xi=xi,
-        omega=omega,
+        xi=_safe_exp(log_xi),
+        omega=-log_xi / system.beta,
         mean_particle_number=math.fsum(per_n),
     )
 
@@ -341,19 +418,25 @@ class CorrespondenceReport:
 
 
 def correspondence_check(
-    system: LevelSystem, tol: float = 1e-12
+    system: LevelSystem, tol: float = 1e-12, ensemble: Optional[EnsembleReport] = None
 ) -> CorrespondenceReport:
     """Check Xi = (Fock character at the Chern roots), level by level.
 
     Three routes per level: the bundle-side character value at the root
     y = -beta*(eps - mu), the defining occupation sum (a certified truncated
     geometric series for bosons, the exact two-term sum for fermions), and
-    the ensemble's closed-form level partition function.
+    the ensemble's closed-form level partition function.  ``ensemble`` is
+    the ``grand_ensemble`` report of ``system``, built here when not given;
+    its level arguments and totals are reused.
     """
     if system.statistics not in ("BE", "FD"):
         raise ValueError("the correspondence is defined for BE and FD statistics")
-    xs = system.thermo_arguments()
-    roots = system.chern_roots()
+    if ensemble is None:
+        ensemble = grand_ensemble(system)
+    elif ensemble.system != system:
+        raise ValueError("the ensemble report belongs to another level system")
+    xs = ensemble.arguments
+    roots = [-x for x in xs]
     stat = system.statistics
     characters: List[float] = []
     sums: List[float] = []
@@ -372,7 +455,6 @@ def correspondence_check(
         worst = max(worst, abs(c - s) / scale, abs(c - e) / scale, abs(s - e) / scale)
     log_character = math.fsum(math.log(c) for c in characters)
     total_character = _safe_exp(log_character)
-    ensemble = grand_ensemble(system)
     if total_character < math.inf and 0.0 < ensemble.xi < math.inf:
         worst = max(worst, abs(total_character - ensemble.xi) / abs(ensemble.xi))
     else:

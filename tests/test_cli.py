@@ -116,6 +116,48 @@ def test_stats_be_divergence_exits_2(tmp_path, capsys):
     assert "level 0" in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("levels", [1.0, math.nan]),
+        ("levels", [-math.inf, 1.0]),
+        ("mu", math.nan),
+        ("mu", math.inf),
+        ("beta", math.nan),
+        ("beta", math.inf),
+        ("beta", -1.0),
+        ("kB", math.nan),
+        ("kB", math.inf),
+        ("kB", 0.0),
+    ],
+)
+def test_non_finite_system_fields_exit_2(tmp_path, capsys, field, value):
+    # json writes NaN and Infinity literals, and json.load reads them back
+    payload = {"levels": [1.0, 2.0], "mu": 0.0, "beta": 1.0, "statistics": "FD", "kB": 1.0}
+    payload[field] = value
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "stats", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field} must be")
+
+
+@pytest.mark.parametrize("statistics", ["BE", "FD"])
+def test_levels_far_above_mu_underflow(tmp_path, capsys, statistics):
+    # x = 720 gives a subnormal occupation and x = 800 gives 0.0; e^x overflows
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(
+        {"levels": [1.0, 720.0, 800.0], "mu": 0.0, "beta": 1.0, "statistics": statistics}
+    ))
+    code, out, err = run(capsys, "--format", "json", "stats", str(path))
+    assert (code, err) == (0, "")
+    occupations = [level["occupation"] for level in json.loads(out)["per_level"]]
+    assert occupations[1:] == [math.exp(-720.0), 0.0]
+    code, out, err = run(capsys, "stats", str(path), "--check-correspondence")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith("correspondence    PASS")
+
+
 def test_zeta_det_affine(capsys):
     code, out, _ = run(capsys, "zeta-det", "--affine", "1", "1")
     assert code == 0

@@ -4,9 +4,11 @@
 and genus groups were captured before the class-space multiplicative-sequence
 route replaced symmetric reduction on the index and genus path; the verify
 and spectral groups before every density came from one per-root lowering.
-Spectral cases are keyed by a label from ``SPECTRA``; the spectrum is written
-to a temporary file when the case runs.  Regenerate the file (only when an
-output change is intended) with
+The stats group was captured before the one-pass ensemble kernel and the
+shared JSON writer, so it pins every per-level float and output byte.
+Spectral cases are keyed by a label from ``SPECTRA`` and stats cases by a
+label from ``SYSTEMS``; the input is written to a temporary file when the case
+runs.  Regenerate the file (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -14,6 +16,7 @@ output change is intended) with
 import contextlib
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -35,6 +38,27 @@ SPECTRA = {
     "finite-spread": {"form": "finite", "eigenvalues": [0.01, 0.37, 2.2, 13.0, 41.5]},
     "affine-1-1": {"form": "affine", "a": 1.0, "c": 1.0},
 }
+
+
+def _seeded_levels(seed, low, high, n=40):
+    rng = random.Random(seed)
+    return [rng.uniform(low, high) for _ in range(n)]
+
+
+SYSTEMS = {
+    "be-seeded": {"levels": _seeded_levels(1, 0.3, 25.0), "mu": -0.4, "beta": 1.3,
+                  "statistics": "BE"},
+    "fd-seeded": {"levels": _seeded_levels(2, -30.0, 30.0), "mu": 0.7, "beta": 0.9,
+                  "statistics": "FD"},
+    "mb-seeded": {"levels": _seeded_levels(3, -5.0, 40.0), "mu": -1.1, "beta": 1.7,
+                  "statistics": "MB", "kB": 8.617333262e-5},
+    "be-near-mu": {"levels": [1e-9, 1e-4, 0.5, 2.0, 2.0, 700.0], "mu": 0.0, "beta": 1.0,
+                   "statistics": "BE"},
+    # levels at x < -709 overflow the per-level xi to Infinity
+    "fd-deep": {"levels": [-800.0, -750.0, -40.5, -0.25, 0.0, 1.0, 39.0, 700.0],
+                "mu": 0.0, "beta": 1.0, "statistics": "FD"},
+}
+CHECKED = ("be-seeded", "fd-seeded")
 
 
 def cases():
@@ -61,16 +85,24 @@ def cases():
                                  "--degree", str(2 * l + 6)]
         for label in SPECTRA:
             yield "spectral", [*fmt, "spectral", label]
+    for fmt in FORMATS + (("--format", "csv"),):
+        for label in SYSTEMS:
+            yield "stats", [*fmt, "stats", label]
+    for fmt in FORMATS:
+        for label in CHECKED:
+            yield "stats", [*fmt, "stats", label, "--check-correspondence"]
 
 
 def _stdout(argv):
     buffer = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         run_argv = list(argv)
-        if "spectral" in run_argv:
-            path = Path(tmp) / "spectrum.json"
-            path.write_text(json.dumps(SPECTRA[run_argv[-1]]))
-            run_argv[-1] = str(path)
+        for command, inputs in (("spectral", SPECTRA), ("stats", SYSTEMS)):
+            if command in run_argv:
+                at = run_argv.index(command) + 1
+                path = Path(tmp) / "input.json"
+                path.write_text(json.dumps(inputs[run_argv[at]]))
+                run_argv[at] = str(path)
         with contextlib.redirect_stdout(buffer):
             code = main(run_argv)
     assert code == 0, argv
@@ -78,7 +110,8 @@ def _stdout(argv):
 
 
 @pytest.mark.parametrize(
-    "group", ["index", "hrr", "genus-manifold", "genus-degree", "verify", "spectral"]
+    "group",
+    ["index", "hrr", "genus-manifold", "genus-degree", "verify", "spectral", "stats"],
 )
 def test_cli_output_matches_golden(group):
     golden = {" ".join(argv): out for argv, out in json.loads(GOLDEN.read_text())}

@@ -117,6 +117,31 @@ def test_log_gamma_certified():
     assert abs(log_gamma(0.5) - 0.5 * math.log(math.pi)) < 1e-13
 
 
+def test_log_gamma_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(41)
+    points = [10 ** rng.uniform(-4.0, 4.0) for _ in range(200)] + [1e-300, 5e-324, 1e12]
+    for x in points:
+        with mpmath.workdps(30):
+            expected = float(mpmath.loggamma(x))
+        assert abs(log_gamma(x) - expected) < 1e-13 * max(1.0, abs(expected)), x
+
+
+def test_hurwitz_zeta_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(43)
+    # s in [-1, 3.5] away from the pole, c across the range the affine
+    # determinant uses and beyond; zeta_det differentiates at s = +/-2e-5
+    grid = [(rng.uniform(-1.0, 3.5), rng.uniform(0.05, 6.0)) for _ in range(200)]
+    grid += [(s, c) for s in (-2e-5, 0.0, 2e-5) for c in (0.05, 0.2, 1.0, 3.0)]
+    for s, c in grid:
+        if abs(s - 1.0) < 0.05:
+            continue
+        with mpmath.workdps(30):
+            expected = float(mpmath.zeta(s, c))
+        assert abs(hurwitz_zeta_em(s, c) - expected) < 1e-12 * max(1.0, abs(expected)), (s, c)
+
+
 def test_formal_euler_class():
     assert formal_euler_class(SpectrumSpec.finite([1.0, 2.0, 3.0])) == pytest.approx(6.0)
     assert abs(formal_euler_class(SpectrumSpec.affine(1.0, 1.0)) - SQRT_2PI) < 1e-10

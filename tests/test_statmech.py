@@ -37,6 +37,24 @@ def test_occupation_closed_forms():
         occupation("BE", 0.0)
 
 
+@pytest.mark.parametrize("statistics", ["BE", "FD"])
+def test_occupation_far_above_mu_underflows(statistics):
+    # e^x overflows beyond x = 709.78, while n = e^{-x}/(1 -/+ e^{-x}) = e^{-x}
+    tail = occupation(statistics, 720.0)
+    assert tail == math.exp(-720.0)
+    assert 0.0 < tail < 2.0**-1022
+    assert occupation(statistics, 800.0) == 0.0
+    # in range the closed form is kept
+    assert occupation(statistics, 709.0) == 1.0 / (
+        math.expm1(709.0) if statistics == "BE" else math.exp(709.0) + 1.0
+    )
+    report = grand_ensemble(
+        LevelSystem(levels=(1.0, 720.0, 800.0), mu=0.0, beta=1.0, statistics=statistics)
+    )
+    assert report.per_level_occupation[1:] == (tail, 0.0)
+    assert report.per_level_occupation[0] == occupation(statistics, 1.0)
+
+
 def test_occupation_by_derivative_matches_closed_forms():
     assert abs(occupation_by_derivative("FD", LN2, 1e-6) - 1.0 / 3.0) < 1e-10
     assert abs(occupation_by_derivative("BE", 1.0, 1e-6) - 1.0 / (math.e - 1.0)) < 1e-9
@@ -160,14 +178,26 @@ def test_level_system_validation():
         LevelSystem(levels=(1.0,), mu=0.0, beta=1.0, statistics="XX")
 
 
+def test_correspondence_reuses_the_given_ensemble():
+    system = LevelSystem(levels=(0.5, 1.5, 4.0), mu=-0.2, beta=1.3, statistics="BE")
+    ensemble = grand_ensemble(system)
+    assert correspondence_check(system, ensemble=ensemble) == correspondence_check(system)
+    other = LevelSystem(levels=(0.5, 1.5), mu=-0.2, beta=1.3, statistics="BE")
+    with pytest.raises(ValueError, match="another level system"):
+        correspondence_check(other, ensemble=ensemble)
+
+
 def test_ensemble_report_json():
     system = LevelSystem(levels=(LN2,), mu=0.0, beta=1.0, statistics="FD")
     data = grand_ensemble(system).to_json_dict()
     assert data["xi"] == 1.5
     assert len(data["per_level"]) == 1
-    rows = grand_ensemble(system).csv_rows()
+    report = grand_ensemble(system)
+    rows = report.csv_rows()
     assert rows[0][0] == "level"
     assert len(rows) == 2
+    assert report.csv_text() == "".join(",".join(row) + "\n" for row in rows)
+    assert rows[1] == ("0", f"{LN2:.17g}", f"{LN2:.17g}", "1.5", f"{1 / 3:.17g}")
 
 
 def test_bose_geometric_sum_rejects_hopeless_sums_before_looping():
