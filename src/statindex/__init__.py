@@ -39,6 +39,8 @@ from .manifolds import (
     evaluate_chern_polynomial,
     genus_class,
     genus_number,
+    multiplicative_class,
+    multiplicative_integral,
 )
 from .pairings import (
     FactorExpression,

@@ -237,12 +237,16 @@ def lambda_minus1_dual(l: int, paired: bool, D: int) -> TruncatedSeries:
 def fock_character_value(statistics: str, y: float) -> float:
     """Numeric value of the single-level Fock character at root value y.
 
-    Bosonic: 1/(1 - e^y), requiring e^y < 1; fermionic: 1 + e^y.
+    Bosonic: 1/(1 - e^y), requiring e^y < 1; fermionic: 1 + e^y, which is
+    Infinity where it is beyond binary64 range (y > 709.78).
     """
     if statistics == "BE":
         if y >= 0:
             raise DivergenceError(f"bosonic character needs a negative root, got y={y}")
         return 1.0 / (-math.expm1(y))
     if statistics == "FD":
-        return 1.0 + math.exp(y)
+        try:
+            return 1.0 + math.exp(y)
+        except OverflowError:
+            return math.inf
     raise ValueError(f"unknown statistics {statistics!r}")

@@ -8,7 +8,9 @@ digits, and identical inputs always produce byte-identical output.  JSON
 output (``--format json``) is byte-identical to
 ``json.dumps(payload, indent=2, sort_keys=True)``; one small writer emits it
 for every command, because the standard library falls back to its
-pure-Python encoder whenever an indent is set.
+pure-Python encoder whenever an indent is set.  The argparse tree is built
+on the first ``main()`` call and reused by every later call in the
+process.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Sequence
@@ -160,7 +163,11 @@ def _emit_json(payload) -> None:
     sys.stdout.write(_json_text(payload) + "\n")
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process.  Parsing keeps no state
+    in it: every call gets a fresh namespace, and no action appends to a
+    shared default."""
     parser = argparse.ArgumentParser(
         prog="statindex",
         description=(

@@ -2,14 +2,23 @@
 
 A manifold is modelled by its even cohomology ring: degree-2 generators
 with nilpotency relations, a designated top monomial whose integral is
-declared, and the tangent bundle's Chern classes as ring elements.  This
-is all that genus and index evaluation needs.
+declared, and the tangent bundle's Chern classes as ring elements.
 
 Generators carry root-degree 1 (real degree 2), so an element of the ring
 is a TruncatedSeries over the generators truncated at the complex
-dimension, reduced modulo the nilpotency relations.  Genus classes are
-class polynomials built in class space (``genera.genus_class_polynomial``)
-and evaluated on the tangent Chern classes.
+dimension, reduced modulo the nilpotency relations.
+
+Every genus and pairing density is a product over the tangent Chern roots
+of one per-root factor f(x) = x^m u(x), u(0) != 0.  The builders ``cp``,
+``torus`` and ``product`` record the model's factors, and the splitting
+principle evaluates such a product one factor at a time
+(``multiplicative_class``, ``multiplicative_integral``): TCP^n (+) C is
+O(1)^{n+1}, so cp^n contributes (s u(0))^n [u(h)/u(0)]^{n+1} when m = 0,
+(s u(0))^n (n+1) h^n when m = 1 and 0 when m >= 2; a torus contributes
+(s u(0))^dim when m = 0 and 0 otherwise; and a Whitney sum multiplies the
+classes.  No class polynomial is built.  The class-polynomial route,
+``evaluate_chern_polynomial`` on the tangent Chern classes, is kept as the
+oracle tests compare the splitting route with.
 """
 
 from __future__ import annotations
@@ -18,11 +27,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .series import Exponents, TruncatedSeries
 from .symmetric import CHERN, PONTRYAGIN, ChernPolynomial
-from .genera import genus_class_polynomial
+from .genera import generating_series
 
 __all__ = [
     "CatalogError",
@@ -34,6 +43,8 @@ __all__ = [
     "evaluate_chern_polynomial",
     "genus_class",
     "genus_number",
+    "multiplicative_class",
+    "multiplicative_integral",
     "product",
     "torus",
 ]
@@ -45,7 +56,11 @@ class CatalogError(ValueError):
 
 @dataclass(frozen=True)
 class CohomologyModel:
-    """Even cohomology ring with declared integration of the top monomial."""
+    """Even cohomology ring with declared integration of the top monomial.
+
+    ``factors`` lists the catalog factors, ``("cp", n)`` or ``("torus", l)``,
+    in product order; the i-th cp factor owns the i-th generator.
+    """
 
     name: str
     generators: Tuple[str, ...]
@@ -53,6 +68,7 @@ class CohomologyModel:
     complex_dim: int
     top_exponents: Optional[Exponents]
     top_integral: Fraction
+    factors: Tuple[Tuple[str, int], ...] = ()
 
     @property
     def real_dimension(self) -> int:
@@ -108,6 +124,7 @@ def cp(n: int) -> Tuple[CohomologyModel, TangentData]:
         complex_dim=n,
         top_exponents=(n,),
         top_integral=Fraction(1),
+        factors=(("cp", n),),
     )
     chern = tuple(
         TruncatedSeries(("h",), n, {(k,): Fraction(comb(n + 1, k))})
@@ -131,6 +148,7 @@ def torus(l: int) -> Tuple[CohomologyModel, TangentData]:
         complex_dim=l,
         top_exponents=None,
         top_integral=Fraction(0),
+        factors=(("torus", l),),
     )
     chern = tuple(model.zero() for _ in range(l))
     return model, TangentData(chern)
@@ -157,6 +175,7 @@ def product(
         complex_dim=l,
         top_exponents=top,
         top_integral=model_a.top_integral * model_b.top_integral,
+        factors=model_a.factors + model_b.factors,
     )
 
     def lift(series: TruncatedSeries, source: Tuple[str, ...]) -> TruncatedSeries:
@@ -205,7 +224,10 @@ def _pontryagin_element(
     tangent: TangentData, model: CohomologyModel, k: int
 ) -> TruncatedSeries:
     """p_k from the complexification: p_k = (-1)^k c_{2k}(TM (+) conj TM),
-    expanded through the Whitney formula into the c_i(TM)."""
+    expanded through the Whitney formula into the c_i(TM).
+
+    Oracle only: it serves ``evaluate_chern_polynomial``, which no request
+    path calls."""
     acc = model.zero()
     for i in range(0, 2 * k + 1):
         j = 2 * k - i
@@ -221,7 +243,13 @@ def _pontryagin_element(
 def evaluate_chern_polynomial(
     poly: ChernPolynomial, tangent: TangentData, model: CohomologyModel
 ) -> TruncatedSeries:
-    """Substitute catalog Chern (or Pontryagin) values into a class polynomial."""
+    """Substitute catalog Chern (or Pontryagin) values into a class polynomial.
+
+    Oracle only: requests evaluate genera and pairings by the splitting
+    principle (``multiplicative_class``, ``multiplicative_integral``); tests
+    compare them with this substitution of the class polynomial
+    (``symmetric.multiplicative_sequence``) into the tangent Chern classes.
+    """
     if poly.basis == CHERN:
         values = [tangent.chern_class(model, k) for k in range(1, poly.rank + 1)]
     elif poly.basis == PONTRYAGIN:
@@ -240,26 +268,115 @@ def evaluate_chern_polynomial(
     return model.reduce(out)
 
 
+def _unit_power(v: Sequence[Fraction], a: int, n: int) -> List[Fraction]:
+    """Coefficients of h^0..h^n of v(h)^a for a series with v(0) = 1, by
+    J. C. P. Miller's recurrence k w_k = sum_{j=1}^{k} ((a+1) j - k) v_j w_{k-j}."""
+    w = [Fraction(1)]
+    for k in range(1, n + 1):
+        acc = sum(
+            (((a + 1) * j - k) * v[j] * w[k - j] for j in range(1, k + 1) if v[j]),
+            Fraction(0),
+        )
+        w.append(acc / k)
+    return w
+
+
+def _factor_classes(
+    model: CohomologyModel, factor: TruncatedSeries, scalar: Fraction
+) -> Optional[List[List[Fraction]]]:
+    """Per catalog factor, the coefficients of h^0..h^n of its class of
+    prod_i s f(x_i) (a torus: the constant alone), or None when the class
+    vanishes."""
+    if not model.factors:
+        raise ValueError(f"model {model.name!r} records no catalog factors")
+    if len(factor.variables) != 1:
+        raise ValueError("per-root factor must be a one-variable series")
+    need = max((n for kind, n in model.factors if kind == "cp"), default=0)
+    if factor.truncation < need:
+        raise ValueError(
+            f"per-root factor known through degree {factor.truncation}, "
+            f"a factor cp{need} needs {need}"
+        )
+    coeffs = [factor.coefficient((k,)) for k in range(factor.truncation + 1)]
+    m = next((k for k, c in enumerate(coeffs) if c), None)
+    if m is None or m >= 2:
+        return None
+    base = scalar * coeffs[m]  # s u(0)
+    if m == 1:
+        if any(kind == "torus" for kind, _ in model.factors):
+            return None
+        return [[Fraction(0)] * n + [base ** n * (n + 1)] for _, n in model.factors]
+    v = [c / coeffs[0] for c in coeffs]
+    powers: Dict[int, List[Fraction]] = {}
+    out = []
+    for kind, n in model.factors:
+        if kind == "torus":
+            out.append([base ** n])
+            continue
+        if n not in powers:
+            powers[n] = _unit_power(v, n + 1, n)
+        scale = base ** n
+        out.append([scale * c for c in powers[n]])
+    return out
+
+
+def multiplicative_class(
+    model: CohomologyModel, factor: TruncatedSeries, scalar=1
+) -> TruncatedSeries:
+    """The class of prod_i s f(x_i) over the tangent roots, as a ring element.
+
+    ``factor`` is the one-variable per-root factor f, known at least through
+    the largest cp dimension of the model; the class is the product of its
+    catalog factors' classes (see the module docstring).
+    """
+    classes = _factor_classes(model, factor, Fraction(scalar))
+    if classes is None:
+        return model.zero()
+    terms: Dict[Exponents, Fraction] = {(): Fraction(1)}
+    for (kind, _), coeffs in zip(model.factors, classes):
+        if kind == "torus":
+            terms = {exps: c * coeffs[0] for exps, c in terms.items()}
+        else:
+            terms = {
+                exps + (k,): c * a
+                for exps, c in terms.items()
+                for k, a in enumerate(coeffs)
+                if a
+            }
+    return TruncatedSeries(model.generators, model.complex_dim, terms)
+
+
+def multiplicative_integral(
+    model: CohomologyModel, factor: TruncatedSeries, scalar=1
+) -> Fraction:
+    """Integral of prod_i s f(x_i) over the manifold: the product of the
+    catalog factors' top coefficients (0 when a torus factor is present)."""
+    classes = _factor_classes(model, factor, Fraction(scalar))
+    if classes is None or model.top_exponents is None:
+        return Fraction(0)
+    value = model.top_integral
+    for coeffs in classes:
+        value *= coeffs[-1]
+    return value
+
+
 def genus_class(
     kind: str, model: CohomologyModel, tangent: TangentData
 ) -> TruncatedSeries:
     """Total genus class of the tangent bundle as a ring element.
 
-    The class polynomial of l = dim roots through degree l is built in
-    class space (``genera.genus_class_polynomial``) and evaluated on the
-    tangent Chern classes.  The non-normalized kinds (bhat, tdstar) have no
-    stable polynomials, so the root count is exactly l for every kind;
-    euler is just c_l.  Tests check the polynomial against the l-root
-    ``genera.genus_series`` reduced by ``symmetric.to_chern_basis`` /
-    ``to_pontryagin_basis``.
+    The genus's one-variable factor (``genera.generating_series``) is
+    evaluated by the splitting principle (``multiplicative_class``); the
+    tangent data is not read.  Tests check the class against the l-root
+    class polynomial substituted into the tangent Chern classes
+    (``evaluate_chern_polynomial``).
     """
-    l = model.complex_dim
-    return evaluate_chern_polynomial(genus_class_polynomial(kind, l, l), tangent, model)
+    return multiplicative_class(model, generating_series(kind, model.complex_dim))
 
 
 def genus_number(kind: str, model: CohomologyModel, tangent: TangentData) -> Fraction:
     """Integral of the total genus class over the manifold."""
-    return model.integrate(genus_class(kind, model, tangent))
+    return multiplicative_integral(model, generating_series(kind, model.complex_dim))
 
 
 def euler_characteristic(model: CohomologyModel, tangent: TangentData) -> Fraction:

@@ -23,22 +23,26 @@ Each root's canonical factor is lowered to a one-variable series by one
 builder (``_lower_root``): ``FactorExpression.root_factor`` returns that
 series, and ``to_series`` is the scalar times the product of the lowered
 factors, each renamed to its root.  Every root of a canonical density
-carries the same factor x^m u(x), so ``pairing_index`` builds its
-Chern-basis polynomial in class space as the multiplicative sequence of
-that one-root factor (``symmetric.multiplicative_sequence``); the l-root
-lowering reduced by ``symmetric.to_chern_basis`` is the oracle tests
-compare it with.
+carries the same factor x^m u(x), so ``pairing_index`` integrates it by the
+splitting principle over the manifold's catalog factors
+(``manifolds.multiplicative_integral``).  The density's Chern-basis
+polynomial, the multiplicative sequence of that one-root factor
+(``symmetric.multiplicative_sequence``), is built only when
+``IndexReport.density`` is read; the l-root lowering reduced by
+``symmetric.to_chern_basis`` is the oracle tests compare it with.
 
 bb and bf use the paired-root convention for the complexified tangent
 bundle (roots +-x_i, i = 1..l), with the parity prefactor (-1)^{l(2l+1)}
-on bb; the literal single-root products over m = 2l independent roots are
-exercised by verify_identity as a separate route.
+= (-1)^l on bb, a sign per root; the literal single-root products over
+m = 2l independent roots are exercised by verify_identity as a separate
+route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import exp as _fexp
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -50,8 +54,8 @@ from .manifolds import (
     CohomologyModel,
     TangentData,
     catalog,
-    evaluate_chern_polynomial,
     genus_class,
+    multiplicative_integral,
 )
 
 __all__ = [
@@ -273,9 +277,12 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
-def _assemble(kind: str, l: int) -> FactorExpression:
-    """Build the factor every root carries on one root, then give each of
-    the l roots a copy and the scalar its l-th power."""
+def _root_density(kind: str, mode: str) -> FactorExpression:
+    """The density on one root: the factor every root carries, with its
+    share of the scalar (the bb parity prefactor (-1)^{l(2l+1)} = (-1)^l
+    is one sign per root)."""
+    _check_kind(kind)
+    _check_mode(mode)
     root = FactorExpression(1)
     half = Fraction(1, 2)
     if kind == "fb":
@@ -289,6 +296,7 @@ def _assemble(kind: str, l: int) -> FactorExpression:
         root.mul_power(0, 1).mul_bose_minus(0, -1)           # Todd factor at +x
         root.mul_scalar(-1).mul_power(0, 1).mul_bose_plus(0, -1)  # Todd factor at -x
         root.mul_power(0, -1)                                # 1/euler
+        root.mul_scalar(-1)                                  # parity prefactor
     elif kind == "bf":
         root.mul_bose_minus(0, 1).mul_bose_plus(0, 1)
         root.mul_power(0, 1).mul_fermi_minus(0, -1)          # Td* factor at +x
@@ -296,21 +304,19 @@ def _assemble(kind: str, l: int) -> FactorExpression:
         root.mul_power(0, -1)
     else:
         raise AssertionError(kind)
-    expr = FactorExpression(l)
-    expr.scalar = root.scalar ** l
-    expr.factors = [replace(root.factors[0]) for _ in range(l)]
-    if kind == "bb" and (l * (2 * l + 1)) % 2:
-        expr.mul_scalar(-1)
-    return expr
+    if mode == "nondegenerate":
+        root = root.nondegenerate_limit()
+    return root
 
 
 def pairing_density(kind: str, l: int, mode: str = "exact") -> FactorExpression:
-    """The pairing's index density in canonical factored form."""
-    _check_kind(kind)
-    _check_mode(mode)
-    expr = _assemble(kind, l)
-    if mode == "nondegenerate":
-        expr = expr.nondegenerate_limit()
+    """The pairing's index density in canonical factored form: each of the
+    l roots carries a copy of the one-root factor, the scalar its l-th
+    power."""
+    root = _root_density(kind, mode)
+    expr = FactorExpression(l)
+    expr.scalar = root.scalar ** l
+    expr.factors = [replace(root.factors[0]) for _ in range(l)]
     return expr
 
 
@@ -324,12 +330,32 @@ def density_series(kind: str, l: int, mode: str, D: int) -> TruncatedSeries:
 
 @dataclass(frozen=True)
 class IndexReport:
+    """An index value with the density it integrates over ``roots`` roots.
+
+    ``density`` (the Chern-basis polynomial) and ``density_form`` are built
+    on first read, so a request that prints the value alone never builds
+    them.
+    """
+
     manifold: str
     pairing: str
     mode: str
-    density: ChernPolynomial
-    density_form: str
     index_value: Fraction
+    roots: int
+
+    @cached_property
+    def density(self) -> ChernPolynomial:
+        l = self.roots
+        root = _root_density(self.pairing, self.mode)
+        per_root = multiplicative_sequence(root.root_factor(l), l, l)
+        scalar = root.scalar ** l
+        return ChernPolynomial(
+            CHERN, l, l, {e: c * scalar for e, c in per_root.terms.items()}
+        )
+
+    @cached_property
+    def density_form(self) -> str:
+        return pairing_density(self.pairing, self.roots, self.mode).canonical_string()
 
     def to_json_dict(self) -> dict:
         return {
@@ -356,15 +382,15 @@ def pairing_index(
 ) -> IndexReport:
     """Exact rational index of a pairing on a catalog manifold.
 
-    Every root of the canonical density carries the same factor x^m u(x),
-    so its Chern-basis polynomial is the multiplicative sequence of that
-    one-root factor (``symmetric.multiplicative_sequence``) times the
-    density's scalar; it is evaluated on the tangent Chern classes and
-    integrated.  Terms above the complex dimension cannot contribute to
-    the integral, so the polynomial is truncated there regardless of D.
-    Tests check it against ``to_chern_basis`` of the l-root lowering.
+    Every root of the canonical density carries the same factor s x^m u(x),
+    so the index is the splitting-principle integral of that one-root factor
+    over the manifold's catalog factors
+    (``manifolds.multiplicative_integral``).  Terms above the complex
+    dimension cannot contribute to the integral, so the factor is lowered
+    through that degree regardless of D.  Tests check the value against the
+    density's Chern-basis polynomial evaluated on the tangent Chern classes.
     """
-    model, tangent = _resolve(manifold)
+    model, _ = _resolve(manifold)
     l = model.complex_dim
     if D is None:
         D = model.real_dimension
@@ -373,20 +399,10 @@ def pairing_index(
             f"truncation {D} is below the complex dimension {l}; the top "
             "degree would be lost"
         )
-    expr = pairing_density(kind, l, mode)
-    per_root = multiplicative_sequence(expr.root_factor(l), l, l)
-    poly = ChernPolynomial(
-        CHERN, l, l, {e: c * expr.scalar for e, c in per_root.terms.items()}
-    )
-    element = evaluate_chern_polynomial(poly, tangent, model)
-    value = model.integrate(element)
+    root = _root_density(kind, mode)
+    value = multiplicative_integral(model, root.root_factor(l), root.scalar)
     return IndexReport(
-        manifold=model.name,
-        pairing=kind,
-        mode=mode,
-        density=poly,
-        density_form=expr.canonical_string(),
-        index_value=value,
+        manifold=model.name, pairing=kind, mode=mode, index_value=value, roots=l
     )
 
 
@@ -396,25 +412,25 @@ def hrr_index(
     """Holomorphic Euler characteristic: integral of ch(E) * Td(TM).
 
     ``bundle`` is a RootModel over the manifold's generators; None means
-    the trivial line bundle, so the result is the Todd genus.
+    the trivial line bundle, so the result is the Todd genus.  The Todd
+    class is ``manifolds.genus_class``, built by the splitting principle.
     """
     model, tangent = _resolve(manifold)
     l = model.complex_dim
     todd = genus_class("todd", model, tangent)
     if bundle is None:
-        ch = model.one()
-    else:
-        if tuple(bundle.variables) != model.generators:
-            raise ValueError(
-                f"bundle roots use generators {bundle.variables}, "
-                f"manifold has {model.generators}"
-            )
-        if bundle.truncation < l:
-            raise ValueError(
-                f"bundle truncation {bundle.truncation} is below the model's "
-                f"complex dimension {l}"
-            )
-        ch = model.reduce(chern_character(bundle).truncate(l))
+        return model.integrate(todd)
+    if tuple(bundle.variables) != model.generators:
+        raise ValueError(
+            f"bundle roots use generators {bundle.variables}, "
+            f"manifold has {model.generators}"
+        )
+    if bundle.truncation < l:
+        raise ValueError(
+            f"bundle truncation {bundle.truncation} is below the model's "
+            f"complex dimension {l}"
+        )
+    ch = model.reduce(chern_character(bundle).truncate(l))
     return model.integrate(model.multiply(ch, todd))
 
 

@@ -146,13 +146,17 @@ _KERNELS: Dict[str, Tuple[_Kernel, _Kernel]] = {
 
 
 def level_partition(statistics: str, x: float) -> float:
-    """Single-level grand partition function at argument x = beta*(eps - mu)."""
+    """Single-level grand partition function at argument x = beta*(eps - mu);
+    Infinity where it is beyond binary64 range (FD with x < -709.78)."""
     if statistics == "BE":
         if x <= 0:
             raise ConvergenceError(_BOSE_SUM_DIVERGES.format(x=x))
         return 1.0 / (-math.expm1(-x))
     if statistics == "FD":
-        return 1.0 + math.exp(-x)
+        try:
+            return 1.0 + math.exp(-x)
+        except OverflowError:
+            return math.inf
     raise ValueError(f"level_partition is defined for BE and FD, got {statistics!r}")
 
 
@@ -427,7 +431,9 @@ def correspondence_check(
     geometric series for bosons, the exact two-term sum for fermions), and
     the ensemble's closed-form level partition function.  ``ensemble`` is
     the ``grand_ensemble`` report of ``system``, built here when not given;
-    its level arguments and totals are reused.
+    its level arguments and totals are reused.  A level whose values are
+    beyond binary64 range (FD, x < -709.78) is reported as Infinity and
+    compared through the logs of its values.
     """
     if system.statistics not in ("BE", "FD"):
         raise ValueError("the correspondence is defined for BE and FD statistics")
@@ -447,13 +453,28 @@ def correspondence_check(
             value, _, _ = bose_geometric_sum(y, tol=tol / 10.0)
             sums.append(value)
         else:
-            sums.append(1.0 + math.exp(y))
+            try:
+                sums.append(1.0 + math.exp(y))
+            except OverflowError:
+                sums.append(math.inf)
         ensembles.append(level_partition(stat, x))
     worst = 0.0
-    for c, s, e in zip(characters, sums, ensembles):
+    overflowed = []
+    for i, (c, s, e) in enumerate(zip(characters, sums, ensembles)):
         scale = max(abs(c), abs(s), abs(e))
-        worst = max(worst, abs(c - s) / scale, abs(c - e) / scale, abs(s - e) / scale)
-    log_character = math.fsum(math.log(c) for c in characters)
+        if scale < math.inf:
+            worst = max(worst, abs(c - s) / scale, abs(c - e) / scale, abs(s - e) / scale)
+        else:
+            overflowed.append(i)
+    log_characters = list(map(math.log, characters))
+    for i in overflowed:
+        # only FD overflows: the character and the two-term sum are both
+        # 1 + e^y, whose log is y + log1p(e^{-y}); the ensemble's is its kernel's
+        y = roots[i]
+        log_characters[i] = y + math.log1p(math.exp(-y))
+        deviation = math.expm1(log_characters[i] - log_level_partition(stat, xs[i]))
+        worst = max(worst, abs(deviation))
+    log_character = math.fsum(log_characters)
     total_character = _safe_exp(log_character)
     if total_character < math.inf and 0.0 < ensemble.xi < math.inf:
         worst = max(worst, abs(total_character - ensemble.xi) / abs(ensemble.xi))

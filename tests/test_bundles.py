@@ -164,6 +164,7 @@ def test_fock_character_value():
     import math
 
     assert fock_character_value("FD", math.log(0.5)) == 1.5
+    assert fock_character_value("FD", 800.0) == math.inf
     assert abs(fock_character_value("BE", math.log(0.5)) - 2.0) < 1e-15
     with pytest.raises(DivergenceError):
         fock_character_value("BE", 0.0)

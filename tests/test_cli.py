@@ -331,3 +331,23 @@ def test_eigenvalue_too_small_to_invert_is_named(tmp_path, capsys, eigenvalue):
     code, out, err = run(capsys, "spectral", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: eigenvalue {eigenvalue!r} is too small")
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
+def test_correspondence_of_an_overflowing_fd_level(tmp_path, capsys, fmt):
+    # x = -800: 1 + e^800 is beyond binary64 on all three routes
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"levels": [-800.0, 1.0], "mu": 0.0, "beta": 1.0,
+                                "statistics": "FD"}))
+    code, out, err = run(capsys, *fmt, "stats", str(path), "--check-correspondence")
+    assert (code, err) == (0, "")
+    if fmt:
+        payload = json.loads(out)
+        check = payload["correspondence"]
+        assert check["per_level"][0] == {"character": math.inf, "series": math.inf,
+                                         "ensemble": math.inf}
+        assert payload["per_level"][0]["xi"] == math.inf
+        assert check["ok"] and check["max_relative_deviation"] <= 1e-12
+    else:
+        assert "Xi                inf" in out
+        assert out.splitlines()[-1] == "correspondence    PASS (max deviation 0)"

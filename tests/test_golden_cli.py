@@ -5,7 +5,10 @@ and genus groups were captured before the class-space multiplicative-sequence
 route replaced symmetric reduction on the index and genus path; the verify
 and spectral groups before every density came from one per-root lowering.
 The stats group was captured before the one-pass ensemble kernel and the
-shared JSON writer, so it pins every per-level float and output byte.
+shared JSON writer, so it pins every per-level float and output byte.  The
+index-wide group (tori, mixed products, cp8, cp10, cp4xcp4, every genus and
+twisted hrr) was captured while every index still went through the class
+polynomial, before the per-factor splitting route replaced it.
 Spectral cases are keyed by a label from ``SPECTRA`` and stats cases by a
 label from ``SYSTEMS``; the input is written to a temporary file when the case
 runs.  Regenerate the file (only when an output change is intended) with
@@ -59,6 +62,18 @@ SYSTEMS = {
                 "mu": 0.0, "beta": 1.0, "statistics": "FD"},
 }
 CHECKED = ("be-seeded", "fd-seeded")
+WIDE_MANIFOLDS = ("torus3", "cp2xtorus3", "torus2xcp3", "cp1xcp1xcp2", "cp8", "cp10",
+                  "cp4xcp4")
+
+
+def _wide_bundles(name):
+    """Twists -3..5 on every cp generator of a product, one request per
+    shift, so each generator meets every twist."""
+    gens = sum(part.startswith("cp") for part in name.split("x"))
+    if "x" not in name or not gens:
+        return []
+    return ["O(" + ",".join(str((k + i) % 9 - 3) for i in range(gens)) + ")"
+            for k in range(9)]
 
 
 def cases():
@@ -85,6 +100,16 @@ def cases():
                                  "--degree", str(2 * l + 6)]
         for label in SPECTRA:
             yield "spectral", [*fmt, "spectral", label]
+    for fmt in FORMATS:
+        for name in WIDE_MANIFOLDS:
+            for kind in PAIRINGS:
+                for mode in ("exact", "nondegenerate"):
+                    yield "index-wide", [*fmt, "index", kind, name, "--mode", mode]
+            for kind in GENERA:
+                yield "index-wide", [*fmt, "genus", kind, "--manifold", name]
+            yield "index-wide", [*fmt, "index", "hrr", name]
+            for bundle in _wide_bundles(name):
+                yield "index-wide", [*fmt, "index", "hrr", name, "--bundle", bundle]
     for fmt in FORMATS + (("--format", "csv"),):
         for label in SYSTEMS:
             yield "stats", [*fmt, "stats", label]
@@ -111,7 +136,8 @@ def _stdout(argv):
 
 @pytest.mark.parametrize(
     "group",
-    ["index", "hrr", "genus-manifold", "genus-degree", "verify", "spectral", "stats"],
+    ["index", "hrr", "genus-manifold", "genus-degree", "verify", "spectral", "stats",
+     "index-wide"],
 )
 def test_cli_output_matches_golden(group):
     golden = {" ".join(argv): out for argv, out in json.loads(GOLDEN.read_text())}

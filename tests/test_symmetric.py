@@ -186,3 +186,40 @@ def test_weighted_degree_conventions():
     p_poly = ChernPolynomial(PONTRYAGIN, 2, 4, {(1, 1): Fraction(1)})
     assert c_poly.weighted_degree((1, 1)) == 3
     assert p_poly.weighted_degree((1, 1)) == 6
+
+
+def _sympy_chern_terms(sympy, series):
+    """sympy's ``symmetrize`` of the series, as {exponents of s_1..s_n: coeff}."""
+    from sympy.polys.polyfuncs import symmetrize
+
+    xs = sympy.symbols(series.variables)
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x ** e for x, e in zip(xs, exps)))
+        for exps, c in series.terms.items()
+    )
+    symmetric, remainder, defs = symmetrize(sympy.expand(expr), *xs, formal=True)
+    assert remainder == 0
+    names = [s for s, _ in defs]
+    assert names == list(sympy.symbols(f"s1:{len(xs) + 1}"))
+    poly = sympy.Poly(symmetric, *names)
+    return {
+        exps: Fraction(int(c.p), int(c.q)) for exps, c in poly.as_dict().items() if c
+    }
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_chern_basis_against_sympy_symmetrize(n):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(n)
+    cases = [genus_series(kind, n, 4) for kind in ("todd", "ahat", "bhat", "tdstar")]
+    # a random symmetric polynomial: a sum of products of e_k with rational weights
+    random_sym = TruncatedSeries.zero(roots(n), 5)
+    for _ in range(4):
+        weight = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        term = TruncatedSeries.constant(roots(n), 5, weight)
+        for _ in range(rng.randint(0, 3)):
+            term = term * elementary_symmetric(roots(n), 5, rng.randint(1, n))
+        random_sym = random_sym + term
+    cases.append(random_sym)
+    for series in cases:
+        assert to_chern_basis(series, n).terms == _sympy_chern_terms(sympy, series)
