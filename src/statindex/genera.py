@@ -19,10 +19,10 @@ polynomials (``genus_class_polynomial``, ``genus_polynomial``) are built in
 class space by ``symmetric.multiplicative_sequence``; they are computed
 afresh on every call.  The n-root product ``genus_series`` is the product
 of renamed copies of the same series; it stays as the route tests reduce
-with ``to_chern_basis`` / ``to_pontryagin_basis`` to check them, and as a
-factor of the brute-force route of ``pairings.verify_identity``, which
-reaches A-hat and B-hat through these literal formulas rather than
-through the factored algebra of the pairings module.
+with ``to_chern_basis`` / ``to_pontryagin_basis`` to check them.  The
+brute-force route of ``pairings.verify_identity`` reaches A-hat and B-hat
+through ``generating_series``, these literal formulas, rather than through
+the factored algebra of the pairings module.
 """
 
 from __future__ import annotations

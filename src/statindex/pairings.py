@@ -48,8 +48,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .series import TruncatedSeries, format_rational
 from .symmetric import CHERN, ChernPolynomial, multiplicative_sequence
-from .genera import euler_class_roots, genus_series, root_variables
-from .bundles import RootModel, chern_character, spinor_character
+from .genera import euler_class_roots, generating_series, root_variables
+from .bundles import RootModel, chern_character
 from .manifolds import (
     CohomologyModel,
     TangentData,
@@ -377,6 +377,14 @@ def _resolve(manifold: ManifoldLike) -> Tuple[CohomologyModel, TangentData]:
     return manifold
 
 
+def _check_truncation(D: int, l: int) -> None:
+    if D < l:
+        raise ValueError(
+            f"truncation {D} is below the complex dimension {l}; the top "
+            "degree would be lost"
+        )
+
+
 def pairing_index(
     kind: str, manifold: ManifoldLike, mode: str = "exact", D: Optional[int] = None
 ) -> IndexReport:
@@ -392,13 +400,7 @@ def pairing_index(
     """
     model, _ = _resolve(manifold)
     l = model.complex_dim
-    if D is None:
-        D = model.real_dimension
-    if D < l:
-        raise ValueError(
-            f"truncation {D} is below the complex dimension {l}; the top "
-            "degree would be lost"
-        )
+    _check_truncation(model.real_dimension if D is None else D, l)
     root = _root_density(kind, mode)
     value = multiplicative_integral(model, root.root_factor(l), root.scalar)
     return IndexReport(
@@ -414,9 +416,13 @@ def hrr_index(
     ``bundle`` is a RootModel over the manifold's generators; None means
     the trivial line bundle, so the result is the Todd genus.  The Todd
     class is ``manifolds.genus_class``, built by the splitting principle.
+    A truncation D below the complex dimension raises ValueError, as in
+    ``pairing_index``; None skips the check.
     """
     model, tangent = _resolve(manifold)
     l = model.complex_dim
+    if D is not None:
+        _check_truncation(D, l)
     todd = genus_class("todd", model, tangent)
     if bundle is None:
         return model.integrate(todd)
@@ -467,51 +473,63 @@ class VerifyReport:
         }
 
 
-def _todd_factor_negated(variables, D: int, name: str) -> TruncatedSeries:
-    """(-x)/(1 - e^{x}): the Todd factor evaluated at the negated root."""
-    x = TruncatedSeries.variable(variables, D + 1, name)
-    q = (TruncatedSeries.constant(variables, D + 1, 1) - x.exp()).quotient_by(name)
+def _todd_factor_negated(D: int) -> TruncatedSeries:
+    """(-x)/(1 - e^{x}): the Todd factor evaluated at the negated root, in ``x``."""
+    x = TruncatedSeries.variable(("x",), D + 1, "x")
+    q = (TruncatedSeries.constant(("x",), D + 1, 1) - x.exp()).quotient_by("x")
     return -(q.invert())
 
 
-def _tdstar_factor_negated(variables, D: int, name: str) -> TruncatedSeries:
-    """(-x)/(1 + e^{x})."""
-    x = TruncatedSeries.variable(variables, D, name)
-    u = TruncatedSeries.constant(variables, D, 1) + x.exp()
+def _tdstar_factor_negated(D: int) -> TruncatedSeries:
+    """(-x)/(1 + e^{x}), in ``x``."""
+    x = TruncatedSeries.variable(("x",), D, "x")
+    u = TruncatedSeries.constant(("x",), D, 1) + x.exp()
     return -(u.invert() * x)
+
+
+def _cross_root_product(block: TruncatedSeries, m: int) -> TruncatedSeries:
+    """prod_{i=1..m} block(x_i): the one-variable block, renamed to each of
+    the roots x1..xm and embedded, multiplied at the block's truncation."""
+    variables = root_variables(m)
+    D = block.truncation
+    out = TruncatedSeries.constant(variables, D, 1)
+    for name in variables:
+        out = out * block.rename({"x": name}).embed(variables, D)
+    return out
 
 
 def _brute_series(kind: str, l: int, D: int) -> TruncatedSeries:
     """The pairing density by plain series arithmetic, no factored algebra.
 
-    The bb/bf factors for one root only involve that root, so each root's
-    block (dual character times both genus factors, divided once by the
-    root) is assembled univariately before the cross-root product; this
-    keeps the intermediate series sparse without assuming any cancellation.
+    Every factor of a density involves one root only, so each root's block
+    is assembled once as a series in ``x`` and the density is the product of
+    its copies over x1..xl; this keeps the intermediate series sparse
+    without assuming any cancellation.  For fb/ff the block is the spinor
+    factor e^{x/2} + e^{-x/2} times the A-hat or B-hat generating series;
+    for bb/bf it is the dual character (1 - e^{-x})(1 - e^{x}) times both
+    genus factors (roots +-x), divided once by the root.
     """
-    if kind == "fb":
-        return spinor_character(l, D) * genus_series("ahat", l, D)
-    if kind == "ff":
-        return spinor_character(l, D) * genus_series("bhat", l, D)
-    variables = root_variables(l)
-    out = TruncatedSeries.constant(variables, D, 1)
-    for name in variables:
-        one = TruncatedSeries.constant(variables, D + 1, 1)
-        x = TruncatedSeries.variable(variables, D + 1, name)
-        block = (one - (-x).exp()) * (one - x.exp())
-        if kind == "bb":
-            x2 = TruncatedSeries.variable(variables, D + 2, name)
-            plus = (
-                (TruncatedSeries.constant(variables, D + 2, 1) - (-x2).exp())
-                .quotient_by(name)
-                .invert()
-            )
-            block = block * plus * _todd_factor_negated(variables, D + 1, name)
-        else:
-            tds = one + (-x).exp()
-            block = block * (tds.invert() * x)
-            block = block * _tdstar_factor_negated(variables, D + 1, name)
-        out = out * block.quotient_by(name)
+    if kind in ("fb", "ff"):
+        half = TruncatedSeries.variable(("x",), D, "x") * Fraction(1, 2)
+        spinor = half.exp() + (-half).exp()
+        block = spinor * generating_series("ahat" if kind == "fb" else "bhat", D)
+        return _cross_root_product(block, l)
+    one = TruncatedSeries.constant(("x",), D + 1, 1)
+    x = TruncatedSeries.variable(("x",), D + 1, "x")
+    block = (one - (-x).exp()) * (one - x.exp())
+    if kind == "bb":
+        x2 = TruncatedSeries.variable(("x",), D + 2, "x")
+        plus = (
+            (TruncatedSeries.constant(("x",), D + 2, 1) - (-x2).exp())
+            .quotient_by("x")
+            .invert()
+        )
+        block = block * plus * _todd_factor_negated(D + 1)
+    else:
+        tds = one + (-x).exp()
+        block = block * (tds.invert() * x)
+        block = block * _tdstar_factor_negated(D + 1)
+    out = _cross_root_product(block.quotient_by("x"), l)
     if kind == "bb" and (l * (2 * l + 1)) % 2:
         out = -out
     return out
@@ -523,7 +541,8 @@ def _literal_check(kind: str, l: int, D: int) -> Optional[bool]:
     For bb this is the chain prod(1 - e^{-x_i}) * prod x_i/(1 - e^{-x_i}),
     which must collapse to the euler monomial over all m roots; for bf the
     analogous Td* product only reaches the monomial in the limit, so only
-    route agreement is asserted.
+    route agreement is asserted.  The brute-force side builds one root's
+    block in ``x`` and takes the product of its m copies.
     """
     if kind not in ("bb", "bf"):
         return None
@@ -538,22 +557,19 @@ def _literal_check(kind: str, l: int, D: int) -> Optional[bool]:
         else:
             expr.mul_power(i, 1).mul_fermi_minus(i, -1)
     factored = expr.to_series(D)
-    variables = root_variables(m)
-    brute = TruncatedSeries.constant(variables, D, 1)
-    for name in variables:
-        one = TruncatedSeries.constant(variables, D, 1)
-        x = TruncatedSeries.variable(variables, D, name)
-        block = one - (-x).exp()
-        if kind == "bb":
-            x2 = TruncatedSeries.variable(variables, D + 1, name)
-            block = block * (
-                (TruncatedSeries.constant(variables, D + 1, 1) - (-x2).exp())
-                .quotient_by(name)
-                .invert()
-            )
-        else:
-            block = block * (((one + (-x).exp()).invert()) * x)
-        brute = brute * block
+    one = TruncatedSeries.constant(("x",), D, 1)
+    x = TruncatedSeries.variable(("x",), D, "x")
+    block = one - (-x).exp()
+    if kind == "bb":
+        x2 = TruncatedSeries.variable(("x",), D + 1, "x")
+        block = block * (
+            (TruncatedSeries.constant(("x",), D + 1, 1) - (-x2).exp())
+            .quotient_by("x")
+            .invert()
+        )
+    else:
+        block = block * (((one + (-x).exp()).invert()) * x)
+    brute = _cross_root_product(block, m)
     if factored != brute:
         return False
     if kind == "bb" and factored != euler_class_roots(m, D):
@@ -614,7 +630,9 @@ def verify_identity(kind: str, l: int, D: Optional[int] = None) -> VerifyReport:
     factored = expr.to_series(D)
     brute = _brute_series(kind, l, D)
     mismatch: Optional[Tuple[Tuple[int, ...], str, str]] = None
-    exps_all = sorted(set(factored.terms) | set(brute.terms))
+    exps_all = []
+    if factored.terms != brute.terms:
+        exps_all = sorted(set(factored.terms) | set(brute.terms))
     for exps in exps_all:
         a = factored.coefficient(exps)
         b = brute.coefficient(exps)

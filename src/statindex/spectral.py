@@ -210,7 +210,9 @@ def log_gamma(x: float) -> float:
 
 
 def hurwitz_zeta_em(s: float, c: float, n_direct: int = 40, terms: int = 10) -> float:
-    """Hurwitz zeta by Euler-Maclaurin continuation, valid for real s != 1.
+    """Hurwitz zeta by Euler-Maclaurin continuation for real s in [-1, 3.5],
+    s != 1, and c > 0, the range checked against mpmath to 1e-12 relative
+    to max(1, |zeta|).  Below s = -1 the error grows (about 3e-12 at s = -2).
 
     zeta(s, c) = sum_{n<N} (n+c)^{-s} + (N+c)^{1-s}/(s-1) + (N+c)^{-s}/2
                + sum_k B_{2k}/(2k)! * s(s+1)...(s+2k-2) * (N+c)^{-s-2k+1}

@@ -52,6 +52,19 @@ def test_index_hrr_bundle(capsys):
     assert (code, out.strip()) == (0, "4")
 
 
+def test_index_hrr_rejects_truncation_below_dimension(capsys):
+    code, out, err = run(capsys, "--degree", "1", "index", "hrr", "cp3")
+    assert (code, out) == (2, "")
+    _, _, fb_err = run(capsys, "--degree", "1", "index", "fb", "cp3")
+    assert err == fb_err
+    assert "below the complex dimension 3" in err
+    for argv in (("--degree", "3"), ("--degree", "9"), ()):
+        code, out, _ = run(capsys, *argv, "index", "hrr", "cp3")
+        assert (code, out.strip()) == (0, "1")
+    code, out, _ = run(capsys, "--degree", "3", "index", "hrr", "cp3", "--bundle", "O(2)")
+    assert (code, out.strip()) == (0, "10")
+
+
 def test_index_json_payload(capsys):
     code, out, _ = run(capsys, "--format", "json", "index", "bb", "cp2")
     assert code == 0

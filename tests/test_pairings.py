@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from statindex.genera import euler_class_roots, generating_series
-from statindex.bundles import RootModel
+from statindex import pairings
+from statindex.cli import main
+from statindex.genera import euler_class_roots, generating_series, genus_series
+from statindex.bundles import RootModel, spinor_character
 from statindex.manifolds import catalog
 from statindex.series import TruncatedSeries
 from statindex.pairings import (
@@ -78,13 +80,54 @@ def test_bb_prefactor_parity(l):
 
 
 @pytest.mark.parametrize("kind", PAIRING_KINDS)
-@pytest.mark.parametrize("l", (1, 2, 3))
+@pytest.mark.parametrize("l", range(1, 8))
 def test_verify_identity_dual_routes(kind, l):
     report = verify_identity(kind, l)
     assert report.ok
     assert report.first_mismatch is None
     if kind in ("bb", "bf"):
         assert report.literal_ok is True
+
+
+@pytest.mark.parametrize("kind,genus", (("fb", "ahat"), ("ff", "bhat")))
+@pytest.mark.parametrize("l", (1, 2, 3, 4))
+def test_spinor_times_genus_series_is_product_of_root_blocks(kind, genus, l):
+    # route (b) builds fb/ff one root at a time; the l-variable constituents
+    # must give the same series
+    for D in (l, 2 * l + 4, 2 * l + 6):
+        product = spinor_character(l, D) * genus_series(genus, l, D)
+        assert product == pairings._brute_series(kind, l, D)
+
+
+def test_brute_series_bypasses_factored_algebra(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("route (b) reached the factored algebra")
+
+    monkeypatch.setattr(pairings, "_lower_root", forbidden)
+    monkeypatch.setattr(FactorExpression, "__init__", forbidden)
+    monkeypatch.setattr(FactorExpression, "to_series", forbidden)
+    for kind in PAIRING_KINDS:
+        assert pairings._brute_series(kind, 3, 8).truncation == 8
+
+
+def test_verify_reports_a_perturbed_brute_route(monkeypatch, capsys):
+    brute = pairings._brute_series
+    exps = (2, 0)
+
+    def perturbed(kind, l, D):
+        series = brute(kind, l, D)
+        bumped = dict(series.terms)
+        bumped[exps] = series.coefficient(exps) + 1
+        return TruncatedSeries(series.variables, D, bumped)
+
+    monkeypatch.setattr(pairings, "_brute_series", perturbed)
+    report = verify_identity("fb", 2, 6)
+    expected = pairings.density_series("fb", 2, "exact", 6).coefficient(exps)
+    assert not report.ok
+    assert report.first_mismatch == (exps, str(expected), str(expected + 1))
+    assert report.literal_ok is None
+    assert main(["verify", "fb", "--l", "2", "--degree", "6"]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_verify_report_serializes():

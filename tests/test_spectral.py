@@ -142,6 +142,19 @@ def test_hurwitz_zeta_against_mpmath():
         assert abs(hurwitz_zeta_em(s, c) - expected) < 1e-12 * max(1.0, abs(expected)), (s, c)
 
 
+def test_zeta_det_affine_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(47)
+    grid = [(rng.uniform(0.05, 5.0), rng.uniform(0.05, 6.0)) for _ in range(200)]
+    for a, c in grid:
+        # det' = exp(-zeta_F'(0)) with zeta_F(s) = a^{-s} zeta_H(s, c)
+        with mpmath.workdps(30):
+            log_det = mpmath.log(a) * (mpmath.mpf(1) / 2 - c) - mpmath.zeta(0, c, derivative=1)
+            expected = float(mpmath.exp(log_det))
+        got = zeta_det(SpectrumSpec.affine(a, c))
+        assert abs(got - expected) < 1e-10 * max(1.0, abs(expected)), (a, c)
+
+
 def test_formal_euler_class():
     assert formal_euler_class(SpectrumSpec.finite([1.0, 2.0, 3.0])) == pytest.approx(6.0)
     assert abs(formal_euler_class(SpectrumSpec.affine(1.0, 1.0)) - SQRT_2PI) < 1e-10
