@@ -8,17 +8,23 @@ Generators carry root-degree 1 (real degree 2), so an element of the ring
 is a TruncatedSeries over the generators truncated at the complex
 dimension, reduced modulo the nilpotency relations.
 
+One builder makes every catalog model (``cp``, ``torus``, ``product`` and
+``catalog`` all call it) from its list of factors, ``("cp", n)`` or
+``("torus", l)``, and records that list on the model.  The tangent classes
+come from the factors too: TCP^n (+) C is O(1)^{n+1}, so c(TM) is
+prod_j (1 + h_j)^{n_j+1}, with binomial coefficients, and a torus
+contributes 1.
+
 Every genus and pairing density is a product over the tangent Chern roots
-of one per-root factor f(x) = x^m u(x), u(0) != 0.  The builders ``cp``,
-``torus`` and ``product`` record the model's factors, and the splitting
+of one per-root factor f(x) = x^m u(x), u(0) != 0, and the splitting
 principle evaluates such a product one factor at a time
-(``multiplicative_class``, ``multiplicative_integral``): TCP^n (+) C is
-O(1)^{n+1}, so cp^n contributes (s u(0))^n [u(h)/u(0)]^{n+1} when m = 0,
-(s u(0))^n (n+1) h^n when m = 1 and 0 when m >= 2; a torus contributes
-(s u(0))^dim when m = 0 and 0 otherwise; and a Whitney sum multiplies the
-classes.  No class polynomial is built.  The class-polynomial route,
-``evaluate_chern_polynomial`` on the tangent Chern classes, is kept as the
-oracle tests compare the splitting route with.
+(``multiplicative_class``, ``multiplicative_integral``): cp^n contributes
+(s u(0))^n [u(h)/u(0)]^{n+1} when m = 0, (s u(0))^n (n+1) h^n when m = 1
+and 0 when m >= 2; a torus contributes (s u(0))^dim when m = 0 and 0
+otherwise; and a Whitney sum multiplies the classes.  No class polynomial
+is built.  The class-polynomial route, ``evaluate_chern_polynomial`` on
+the tangent Chern classes, is kept as the oracle tests compare the
+splitting route with.
 """
 
 from __future__ import annotations
@@ -81,7 +87,11 @@ class CohomologyModel:
         return TruncatedSeries.constant(self.generators, self.complex_dim, 1)
 
     def reduce(self, element: TruncatedSeries) -> TruncatedSeries:
-        """Drop terms killed by a nilpotency relation."""
+        """Drop terms killed by a nilpotency relation.
+
+        Only ``index hrr`` (``pairings.hrr_index``) and the class-polynomial
+        oracle (``evaluate_chern_polynomial``) call ``reduce`` and
+        ``multiply``; no model builder multiplies ring elements."""
         terms = {
             exps: coeff
             for exps, coeff in element.terms.items()
@@ -90,6 +100,7 @@ class CohomologyModel:
         return TruncatedSeries(self.generators, self.complex_dim, terms)
 
     def multiply(self, a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+        """Ring product; called only by ``index hrr`` and the oracle."""
         return self.reduce(a * b)
 
     def integrate(self, element: TruncatedSeries) -> Fraction:
@@ -113,24 +124,55 @@ class TangentData:
         return model.zero()
 
 
+_NAME_RE = re.compile(r"^(cp|torus)(\d+)$")
+_TOO_SMALL = {"cp": "cp(n) needs n >= 1", "torus": "torus(l) needs l >= 1"}
+
+
+def _factor(kind: str, n: int) -> Tuple[str, int]:
+    if n < 1:
+        raise CatalogError(_TOO_SMALL[kind])
+    return kind, n
+
+
+def _build(factors: Tuple[Tuple[str, int], ...]) -> Tuple[CohomologyModel, TangentData]:
+    """The model and tangent classes of a product of catalog factors.
+
+    The i-th cp factor owns generator h_i (a lone cp owns h), and TCP^n (+) C
+    is O(1)^{n+1}, so c_k is the degree-k part of prod_j (1 + h_j)^{n_j+1}:
+    the monomial prod_j h_j^{k_j} has coefficient prod_j C(n_j+1, k_j).  A
+    torus factor adds dimension but no generator, contributes 1 to the
+    total class and makes every integral 0.
+    """
+    dims = [n for kind, n in factors if kind == "cp"]
+    has_torus = len(dims) < len(factors)
+    if len(factors) == 1 and dims:
+        gens: Tuple[str, ...] = ("h",)
+    else:
+        gens = tuple(f"h{k}" for k in range(1, len(dims) + 1))
+    l = sum(n for _, n in factors)
+    model = CohomologyModel(
+        name="x".join(f"{kind}{n}" for kind, n in factors),
+        generators=gens,
+        nilpotency=tuple(n + 1 for n in dims),
+        complex_dim=l,
+        top_exponents=None if has_torus else tuple(dims),
+        top_integral=Fraction(0 if has_torus else 1),
+        factors=factors,
+    )
+    total: Dict[Exponents, int] = {(): 1}
+    for n in dims:
+        total = {
+            exps + (k,): c * comb(n + 1, k) for exps, c in total.items() for k in range(n + 1)
+        }
+    parts: List[Dict[Exponents, int]] = [{} for _ in range(l + 1)]
+    for exps, c in total.items():
+        parts[sum(exps)][exps] = c
+    return model, TangentData(tuple(TruncatedSeries(gens, l, part) for part in parts[1:]))
+
+
 def cp(n: int) -> Tuple[CohomologyModel, TangentData]:
     """Complex projective space: one generator h, h^{n+1} = 0, c_k = C(n+1,k) h^k."""
-    if n < 1:
-        raise CatalogError("cp(n) needs n >= 1")
-    model = CohomologyModel(
-        name=f"cp{n}",
-        generators=("h",),
-        nilpotency=(n + 1,),
-        complex_dim=n,
-        top_exponents=(n,),
-        top_integral=Fraction(1),
-        factors=(("cp", n),),
-    )
-    chern = tuple(
-        TruncatedSeries(("h",), n, {(k,): Fraction(comb(n + 1, k))})
-        for k in range(1, n + 1)
-    )
-    return model, TangentData(chern)
+    return _build((_factor("cp", n),))
 
 
 def torus(l: int) -> Tuple[CohomologyModel, TangentData]:
@@ -139,61 +181,18 @@ def torus(l: int) -> Tuple[CohomologyModel, TangentData]:
     Only the even subring generated by Chern classes is modelled; the top
     class is not reachable from it, so every integral evaluates to 0.
     """
-    if l < 1:
-        raise CatalogError("torus(l) needs l >= 1")
-    model = CohomologyModel(
-        name=f"torus{l}",
-        generators=(),
-        nilpotency=(),
-        complex_dim=l,
-        top_exponents=None,
-        top_integral=Fraction(0),
-        factors=(("torus", l),),
-    )
-    chern = tuple(model.zero() for _ in range(l))
-    return model, TangentData(chern)
+    return _build((_factor("torus", l),))
 
 
 def product(
     a: Tuple[CohomologyModel, TangentData], b: Tuple[CohomologyModel, TangentData]
 ) -> Tuple[CohomologyModel, TangentData]:
-    """Tensor product of models with Whitney-sum tangent classes."""
-    model_a, tan_a = a
-    model_b, tan_b = b
-    gens = tuple(f"h{k}" for k in range(1, len(model_a.generators) + len(model_b.generators) + 1))
-    gens_a = gens[: len(model_a.generators)]
-    gens_b = gens[len(model_a.generators):]
-    l = model_a.complex_dim + model_b.complex_dim
-    if model_a.top_exponents is None or model_b.top_exponents is None:
-        top: Optional[Exponents] = None
-    else:
-        top = tuple(model_a.top_exponents) + tuple(model_b.top_exponents)
-    model = CohomologyModel(
-        name=f"{model_a.name}x{model_b.name}",
-        generators=gens,
-        nilpotency=tuple(model_a.nilpotency) + tuple(model_b.nilpotency),
-        complex_dim=l,
-        top_exponents=top,
-        top_integral=model_a.top_integral * model_b.top_integral,
-        factors=model_a.factors + model_b.factors,
-    )
-
-    def lift(series: TruncatedSeries, source: Tuple[str, ...]) -> TruncatedSeries:
-        renamed = series.rename(dict(zip(series.variables, source)))
-        return renamed.embed(gens, l)
-
-    total_a = model.one()
-    for k in range(1, model_a.complex_dim + 1):
-        total_a = total_a + lift(tan_a.chern_class(model_a, k), gens_a)
-    total_b = model.one()
-    for k in range(1, model_b.complex_dim + 1):
-        total_b = total_b + lift(tan_b.chern_class(model_b, k), gens_b)
-    total = model.multiply(total_a, total_b)
-    chern = tuple(total.homogeneous_part(k) for k in range(1, l + 1))
-    return model, TangentData(chern)
-
-
-_NAME_RE = re.compile(r"^(cp|torus)(\d+)$")
+    """Product of catalog models, built from their recorded factors; the
+    tangent classes are the Whitney sum's."""
+    for model, _ in (a, b):
+        if not model.factors:
+            raise ValueError(f"model {model.name!r} records no catalog factors")
+    return _build(a[0].factors + b[0].factors)
 
 
 def catalog(name: str) -> Tuple[CohomologyModel, TangentData]:
@@ -206,18 +205,13 @@ def catalog(name: str) -> Tuple[CohomologyModel, TangentData]:
     text = name.strip().lower()
     if not text:
         raise CatalogError("empty manifold name")
-    parts = text.split("x")
-    pairs = []
-    for part in parts:
+    factors = []
+    for part in text.split("x"):
         m = _NAME_RE.match(part)
         if not m:
             raise CatalogError(f"unknown manifold {part!r} in {name!r}")
-        kind, number = m.group(1), int(m.group(2))
-        pairs.append(cp(number) if kind == "cp" else torus(number))
-    out = pairs[0]
-    for nxt in pairs[1:]:
-        out = product(out, nxt)
-    return out
+        factors.append(_factor(m.group(1), int(m.group(2))))
+    return _build(tuple(factors))
 
 
 def _pontryagin_element(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from .series import bernoulli_numbers
-from .statmech import TailBoundError, _require_keys, _safe_exp, _to_float, _to_floats
+from .statmech import _KERNELS, TailBoundError, _require_keys, _safe_exp, _to_float, _to_floats
 from .pairings import PAIRING_KINDS, pairing_density
 
 __all__ = [
@@ -144,9 +144,7 @@ def xi_formal(spec: SpectrumSpec, statistics: str, tol: float = 1e-13) -> float:
         # e^{-lambda} up to the 1/(1 - e^{-lambda_min}) factor below
         margin = 1.0 - math.exp(-spec.a * spec.c)
         eigs = list(_affine_terms(spec, tol * margin))
-    if statistics == "BE":
-        return -math.fsum(math.log1p(-math.exp(-lam)) for lam in eigs)
-    return math.fsum(math.log1p(math.exp(-lam)) for lam in eigs)
+    return math.fsum(_KERNELS[statistics][0](eigs))
 
 
 def spinor_type_character(spec: SpectrumSpec) -> float:
@@ -345,12 +343,14 @@ def build_spectral_report(spec: SpectrumSpec, tol: float = 1e-13) -> SpectralPai
             }
             for kind in PAIRING_KINDS
         }
+    determinant = zeta_det(spec)
     return SpectralPairReport(
         spec=spec,
         chern_character=formal_chern_character(spec, tol),
         log_xi_be=xi_formal(spec, "BE", tol),
         log_xi_fd=xi_formal(spec, "FD", tol),
-        determinant=zeta_det(spec),
-        euler_class=formal_euler_class(spec),
+        determinant=determinant,
+        # the formal Euler class is the regularized product: the determinant
+        euler_class=determinant,
         pairings=pairings,
     )

@@ -267,8 +267,10 @@ def _reduce_to_elementary(
 # -- public reductions ---------------------------------------------------------
 
 
-def to_chern_basis(series: TruncatedSeries, n_roots: int) -> ChernPolynomial:
-    """Express a symmetric root series as a polynomial in c_1..c_n."""
+def _to_basis(series: TruncatedSeries, n_roots: int, basis: str) -> ChernPolynomial:
+    """The arity check, the symmetry check and the per-degree reduction that
+    both public reductions share; the Pontryagin basis reduces in the
+    squares of the roots."""
     if len(series.variables) != n_roots:
         raise ValueError(
             f"series has {len(series.variables)} variables, expected {n_roots}"
@@ -281,20 +283,24 @@ def to_chern_basis(series: TruncatedSeries, n_roots: int) -> ChernPolynomial:
             f"{series.variables[i]} and {series.variables[j]} changes it",
             transposition=violation,
         )
+    step = 2 if basis == PONTRYAGIN else 1
     terms: Dict[Exponents, Fraction] = {}
     for degree in range(series.truncation + 1):
         component = {e: c for e, c in series.terms.items() if sum(e) == degree}
         if not component:
             continue
-        for multi, coeff in _reduce_to_elementary(component, series.variables, 1).items():
+        for multi, coeff in _reduce_to_elementary(component, series.variables, step).items():
             terms[multi] = terms.get(multi, Fraction(0)) + coeff
-    return ChernPolynomial(CHERN, n_roots, series.truncation, terms)
+    return ChernPolynomial(basis, n_roots, series.truncation, terms)
+
+
+def to_chern_basis(series: TruncatedSeries, n_roots: int) -> ChernPolynomial:
+    """Express a symmetric root series as a polynomial in c_1..c_n."""
+    return _to_basis(series, n_roots, CHERN)
 
 
 def to_pontryagin_basis(series: TruncatedSeries, l: int) -> ChernPolynomial:
     """Express a symmetric, per-root even series as a polynomial in p_1..p_l."""
-    if len(series.variables) != l:
-        raise ValueError(f"series has {len(series.variables)} variables, expected {l}")
     for exps in series.terms:
         for idx, e in enumerate(exps):
             if e % 2:
@@ -302,22 +308,7 @@ def to_pontryagin_basis(series: TruncatedSeries, l: int) -> ChernPolynomial:
                     f"series has odd degree {e} in {series.variables[idx]}; "
                     "not expressible in Pontryagin classes"
                 )
-    violation = symmetry_violation(series)
-    if violation is not None:
-        i, j = violation
-        raise NotSymmetricError(
-            "series is not symmetric: swapping "
-            f"{series.variables[i]} and {series.variables[j]} changes it",
-            transposition=violation,
-        )
-    terms: Dict[Exponents, Fraction] = {}
-    for degree in range(series.truncation + 1):
-        component = {e: c for e, c in series.terms.items() if sum(e) == degree}
-        if not component:
-            continue
-        for multi, coeff in _reduce_to_elementary(component, series.variables, 2).items():
-            terms[multi] = terms.get(multi, Fraction(0)) + coeff
-    return ChernPolynomial(PONTRYAGIN, l, series.truncation, terms)
+    return _to_basis(series, l, PONTRYAGIN)
 
 
 def multiplicative_sequence(

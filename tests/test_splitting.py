@@ -7,9 +7,11 @@ The oracle is the route they replaced: the l-root class polynomial
 classes (``manifolds.evaluate_chern_polynomial``) and integrated.  The
 shared range is cpN for N <= 10 and every catalog product of dimension
 <= 6, every pairing kind and mode, every genus (compared as a whole ring
-element) and hrr with twists -3..5.
+element) and hrr with twists -3..5.  The tangent classes the catalog
+builds are checked against binomial products, independently of both routes.
 """
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as cartesian
@@ -28,6 +30,7 @@ from statindex.manifolds import (
     genus_number,
     multiplicative_class,
     multiplicative_integral,
+    product,
 )
 from statindex.pairings import MODES, PAIRING_KINDS, hrr_index, pairing_density, pairing_index
 from statindex.series import TruncatedSeries
@@ -137,6 +140,48 @@ def test_models_record_their_factors():
     hand_built = CohomologyModel("point", (), (), 0, (), Fraction(1))
     with pytest.raises(ValueError, match="records no catalog factors"):
         multiplicative_integral(hand_built, generating_series("todd", 2))
+
+
+def _name_factors(name):
+    return [(m[1], int(m[2])) for m in re.finditer(r"(cp|torus)(\d+)", name)]
+
+
+@pytest.mark.parametrize("name", SINGLES + PRODUCTS)
+def test_tangent_classes_are_binomial_products(name):
+    """c(TM) = prod_j (1 + h_j)^{n_j+1} over the cp factors, h_j^{n_j+1} = 0."""
+    model, tangent = catalog(name)
+    factors = _name_factors(name)
+    dims = [n for kind, n in factors if kind == "cp"]
+    l = sum(n for _, n in factors)
+    gens = ("h",) if factors == [("cp", l)] else tuple(f"h{j}" for j in range(1, len(dims) + 1))
+    assert model.generators == gens and model.complex_dim == l
+    total = TruncatedSeries.constant(gens, l, 1)
+    for j, n in enumerate(dims):
+        unit = [0] * len(dims)
+        binomial = {}
+        for k in range(n + 1):
+            unit[j] = k
+            binomial[tuple(unit)] = comb(n + 1, k)
+        total = total * TruncatedSeries(gens, l, binomial)
+    for k in range(1, l + 1):
+        assert tangent.chern_class(model, k) == total.homogeneous_part(k), k
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [("cp2", "torus1"), ("torus2", "cp1"), ("torus1", "torus3"),
+     ("cp1xtorus1", "cp2"), ("torus1xcp2", "cp1xtorus2"), ("cp1xcp1", "torus1xcp3")],
+)
+def test_product_equals_catalog_of_joined_name(left, right):
+    assert product(catalog(left), catalog(right)) == catalog(f"{left}x{right}")
+
+
+def test_product_needs_recorded_factors():
+    hand_built = (CohomologyModel("point", (), (), 0, (), Fraction(1)), TangentData(()))
+    with pytest.raises(ValueError, match="records no catalog factors"):
+        product(hand_built, catalog("cp1"))
+    with pytest.raises(ValueError, match="records no catalog factors"):
+        product(catalog("torus1"), hand_built)
 
 
 def test_per_factor_rule_on_one_factor():
