@@ -81,6 +81,15 @@ def _json_float(value: float) -> str:
     return "Infinity" if value > 0 else "-Infinity"
 
 
+def _float_texts(values) -> List[str]:
+    """The JSON text of each float: ``float.__repr__``, with inf and nan
+    spelled as JSON spells them."""
+    texts = list(map(float.__repr__, values))
+    if "n" in "".join(texts):  # inf or nan
+        texts = list(map(_json_float, values))
+    return texts
+
+
 def _json_scalar(value) -> str:
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -137,10 +146,11 @@ def _write_json(value, parts: List[str], indent: str) -> None:
         inner = indent + "  "
         separator = "," + inner
         if all(type(item) is float for item in value):
-            text = separator.join(map(float.__repr__, value))
-            if "n" in text:  # inf or nan, which JSON spells differently
-                text = separator.join(map(_json_float, value))
-            parts.append("[" + inner + text + indent + "]")
+            body = separator.join(_float_texts(value))
+        else:
+            body = type(value[0]) is dict and _records_text(value, inner)
+        if body:
+            parts.append("[" + inner + body + indent + "]")
             return
         opening = "[" + inner
         for item in value:
@@ -150,6 +160,31 @@ def _write_json(value, parts: List[str], indent: str) -> None:
         parts.append(indent + "]")
     else:
         parts.append(_json_scalar(value))
+
+
+def _records_text(records, indent: str) -> Optional[str]:
+    """The items, at the nesting ``indent``, of a list of dicts that share
+    one set of str keys and hold only floats, all through one row template.
+    None for any other list that starts with a dict; unless that first dict
+    has only str keys and float values, it alone is looked at."""
+    first = records[0]
+    if not (first and all(type(v) is float for v in first.values())
+            and all(type(k) is str for k in first)):
+        return None
+    keys = sorted(first)
+    if set(map(type, records)) != {dict} or set(map(len, records)) != {len(keys)}:
+        return None
+    try:
+        columns = [[record[key] for record in records] for key in keys]
+    except KeyError:
+        return None
+    if any(set(map(type, column)) != {float} for column in columns):
+        return None
+    inner = indent + "  "
+    template = "{" + ",".join(
+        inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
+    ) + indent + "}"
+    return ("," + indent).join(map(template.__mod__, zip(*map(_float_texts, columns))))
 
 
 def _json_text(payload) -> str:

@@ -98,7 +98,9 @@ class SpectrumSpec:
     @classmethod
     def from_json_dict(cls, data) -> "SpectrumSpec":
         _require_keys(data, ("form",), "spectrum")
-        graded = bool(data.get("grading", False))
+        graded = data.get("grading", False)
+        if not isinstance(graded, bool):
+            raise ValueError(f"grading must be true or false, got {graded!r}")
         if data["form"] == "finite":
             _require_keys(data, ("eigenvalues",), "finite spectrum")
             return cls.finite(data["eigenvalues"], graded=graded)

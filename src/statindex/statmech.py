@@ -70,10 +70,13 @@ def _require_keys(data, keys, what: str) -> None:
 
 
 def _to_float(value, what: str) -> float:
-    try:
-        return float(value)
-    except TypeError:
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    """A scalar field as a float; a JSON boolean is not a number here."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 def _to_floats(values, what: str) -> Tuple[float, ...]:
@@ -111,7 +114,14 @@ def _occupations(kernel: _Kernel, xs: Sequence[float]) -> List[float]:
 
 def _be_logs(xs: Sequence[float]) -> List[float]:
     exp, log1p = math.exp, math.log1p
-    return [-log1p(-exp(-x)) for x in xs]
+    try:
+        return [-log1p(-exp(-x)) for x in xs]
+    except ValueError:
+        pass
+    # for 0 < x < 5.6e-17, e^{-x} rounds to 1 and log1p(-1) is undefined;
+    # -ln(-expm1(-x)) is not, and only those levels take it
+    log, expm1 = math.log, math.expm1
+    return [-log(-expm1(-x)) if exp(-x) == 1.0 else -log1p(-exp(-x)) for x in xs]
 
 
 def _be_occupations(xs: Sequence[float]) -> List[float]:

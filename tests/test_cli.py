@@ -308,6 +308,14 @@ def test_inputs_without_a_meaningful_answer_exit_2(capsys, argv):
         ("spectral", {"form": "affine", "a": None, "c": 1.0}, "a must be a number"),
         ("spectral", {"form": "finite", "eigenvalues": "12"}, "'12'"),
         ("spectral", {"form": "finite", "eigenvalues": 12}, "list of numbers"),
+        ("spectral", {"form": "affine", "a": 1, "c": "x"}, "c must be a number, got 'x'"),
+        ("spectral", {"form": "affine", "a": True, "c": 1.0}, "a must be a number, got True"),
+        ("spectral", {"form": "finite", "eigenvalues": [1.0], "grading": "false"}, "grading"),
+        ("spectral", {"form": "finite", "eigenvalues": [1.0], "grading": 0}, "grading"),
+        ("stats", {"levels": [1.0], "mu": True, "statistics": "FD"}, "mu must be a number"),
+        ("stats", {"levels": [1.0], "beta": False, "statistics": "FD"}, "beta must be a number"),
+        ("stats", {"levels": [1.0], "kB": True, "statistics": "FD"}, "kB must be a number"),
+        ("stats", {"levels": [1.0], "mu": "x", "statistics": "FD"}, "mu must be a number"),
     ],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, command, payload, named):
@@ -364,3 +372,15 @@ def test_correspondence_of_an_overflowing_fd_level(tmp_path, capsys, fmt):
     else:
         assert "Xi                inf" in out
         assert out.splitlines()[-1] == "correspondence    PASS (max deviation 0)"
+
+
+def test_be_levels_just_above_mu(tmp_path, capsys):
+    # x = beta * eps is 1e-320 and 2e-320: e^{-x} rounds to 1
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"levels": [1.0, 2.0], "mu": 0.0, "beta": 1e-320,
+                                "statistics": "BE"}))
+    code, out, err = run(capsys, "--format", "json", "stats", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["log_xi"] == math.fsum([-math.log(1e-320), -math.log(2e-320)])
+    assert [level["xi"] for level in report["per_level"]] == [math.inf, math.inf]

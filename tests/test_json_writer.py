@@ -6,6 +6,7 @@ shows in the output; the standard library encoder is the oracle.
 
 import json
 import math
+import random
 
 import pytest
 
@@ -13,7 +14,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
-from statindex.cli import _json_text  # noqa: E402
+from statindex.cli import _json_text, _records_text, main  # noqa: E402
+from statindex.statmech import LevelSystem, correspondence_check, grand_ensemble  # noqa: E402
 
 FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -85,3 +87,74 @@ def test_rejects_what_json_rejects(value):
     with pytest.raises(TypeError) as theirs:
         _dumps(value)
     assert str(ours.value) == str(theirs.value)
+
+
+# Lists of dicts that share one set of str keys and hold only floats, such
+# as the stats per-level arrays, take their own path through the writer;
+# VALUES almost never generates one.
+RECORD_KEYS = st.one_of(KEYS, st.text(alphabet="ab%s\"\\é☃\U0001f600\n", max_size=4))
+RECORDS = st.lists(RECORD_KEYS, min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries({key: FLOATS for key in keys}),
+                          min_size=1, max_size=8)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(RECORDS)
+def test_records_match_json_dumps(records):
+    assert _records_text(records, "\n  ") is not None
+    assert _json_text(records) == _dumps(records)
+    nested = {"per_level": records}
+    assert _json_text(nested) == _dumps(nested)
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not json"
+
+
+@pytest.mark.parametrize("records", [
+    [{"a": 1.0, "b": 2.0}, {"a": 3.0}],
+    [{"a": 1.0, "b": 2.0}, {"a": 3.0, "c": 4.0}],
+    [{"a": 1.0}, {"a": 3.0, "b": 4.0}],
+    [{"a": 1.0, "b": 2.0}, {"a": 3.0, "b": 4}],
+    [{"a": 1.0, "b": 2.0}, {"a": 3.0, "b": True}],
+    [{"a": 1.0}, {"a": _Float(2.5)}],
+    [{"a": _Float(2.5)}, {"a": 1.0}],
+    [{}],
+    [{"a": 1.0}, {}],
+    [{"a": 1.0}, None],
+    [{"a": 1.0}, [1.0]],
+    [{1: 1.0}, {1: 2.0}],
+    [{"a": "x"}, {"a": 1.0}],
+    [[{"a": 1.0}, {"a": -0.0}]],
+])
+def test_near_records_fall_back(records):
+    if type(records[0]) is dict:  # no other list is tried as records
+        assert _records_text(records, "\n  ") is None
+    assert _json_text(records) == _dumps(records)
+
+
+def test_records_sort_keys_of_every_item():
+    records = [{"b": 1.0, "a%s": math.inf}, {"a%s": math.nan, "b": 5e-324}]
+    assert _records_text(records, "\n  ") is not None
+    assert _json_text(records) == _dumps(records)
+
+
+@pytest.mark.parametrize("check", [[], ["--check-correspondence"]], ids=["plain", "check"])
+def test_large_stats_json_is_json_dumps(tmp_path, capsys, check):
+    rng = random.Random(10)
+    levels = [rng.uniform(-5.0, 20.0) for _ in range(10**4)]
+    levels[4321] = -800.0  # its per-level Xi is Infinity
+    data = {"levels": levels, "mu": 0.25, "beta": 1.5, "statistics": "FD"}
+    path = tmp_path / "levels.json"
+    path.write_text(json.dumps(data))
+    assert main(["--format", "json", "stats", str(path)] + check) == 0
+    out = capsys.readouterr().out
+    system = LevelSystem.from_json_dict(data)
+    report = grand_ensemble(system)
+    payload = report.to_json_dict()
+    if check:
+        payload["correspondence"] = correspondence_check(system, ensemble=report).to_json_dict()
+    assert "Infinity" in out
+    assert out == _dumps(payload) + "\n"

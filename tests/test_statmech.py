@@ -55,6 +55,18 @@ def test_occupation_far_above_mu_underflows(statistics):
     assert report.per_level_occupation[0] == occupation(statistics, 1.0)
 
 
+def test_be_levels_just_above_mu_have_finite_logs():
+    # e^{-x} rounds to 1 below x = 5.6e-17, so log1p(-e^{-x}) is undefined
+    assert log_level_partition("BE", 1e-17) == -math.log(1e-17)
+    assert log_level_partition("BE", 1e-320) == -math.log(1e-320)
+    report = grand_ensemble(
+        LevelSystem(levels=(1e-17, 1.0), mu=0.0, beta=1.0, statistics="BE")
+    )
+    # the other level keeps the value of the closed form
+    assert report.per_level_xi[1] == math.exp(-math.log1p(-math.exp(-1.0)))
+    assert report.log_xi == math.fsum([-math.log(1e-17), -math.log1p(-math.exp(-1.0))])
+
+
 def test_occupation_by_derivative_matches_closed_forms():
     assert abs(occupation_by_derivative("FD", LN2, 1e-6) - 1.0 / 3.0) < 1e-10
     assert abs(occupation_by_derivative("BE", 1.0, 1e-6) - 1.0 / (math.e - 1.0)) < 1e-9
