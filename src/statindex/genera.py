@@ -13,11 +13,12 @@ denominator constant term are built by first dividing the denominator by
 its root variable (an exact operation on series whose terms all contain
 that variable) and inverting the resulting unit.
 
-Each factor is built once, as the one-variable series
-``generating_series``, and everything else is made from it.  Class
-polynomials (``genus_class_polynomial``, ``genus_polynomial``) are built in
-class space by ``symmetric.multiplicative_sequence``; they are computed
-afresh on every call.  The n-root product ``genus_series`` is the product
+Each factor is built once per process (memoised by kind and truncation),
+as the one-variable series ``generating_series``, and everything else is
+made from it.  Class polynomials (``genus_class_polynomial``,
+``genus_polynomial``) are built in class space by
+``symmetric.multiplicative_sequence``; they are computed afresh on every
+call.  The n-root product ``genus_series`` is the product
 of renamed copies of the same series; it stays as the route tests reduce
 with ``to_chern_basis`` / ``to_pontryagin_basis`` to check them.  The
 brute-force route of ``pairings.verify_identity`` reaches A-hat and B-hat
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Tuple
 
 from .series import TruncatedSeries
@@ -66,8 +68,10 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown genus kind {kind!r}; expected one of {GENUS_KINDS}")
 
 
+@lru_cache(maxsize=256)
 def _root_factor(kind: str, D: int) -> TruncatedSeries:
-    """The per-root factor g(x) as a series in ``x`` through degree D."""
+    """The per-root factor g(x) as a series in ``x`` through degree D, built
+    once per process and shared (series are immutable)."""
     variables = ("x",)
     x = TruncatedSeries.variable(variables, D, "x")
     if kind == "euler":

@@ -20,7 +20,8 @@ this canonical form, where it simply erases the remaining bose/fermi
 factors; applying it to an unfactored series would be meaningless.
 
 Each root's canonical factor is lowered to a one-variable series by one
-builder (``_lower_root``): ``FactorExpression.root_factor`` returns that
+builder (``_lower_root``, memoised per process by the factor's exponents
+and the truncation): ``FactorExpression.root_factor`` returns that
 series, and ``to_series`` is the scalar times the product of the lowered
 factors, each renamed to its root.  Every root of a canonical density
 carries the same factor x^m u(x), so ``pairing_index`` integrates it by the
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import exp as _fexp
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -87,31 +88,31 @@ class _RootFactor:
     fermi: int = 0
 
 
-def _lower_root(f: _RootFactor, D: int) -> TruncatedSeries:
+@lru_cache(maxsize=256)
+def _lower_root(power: int, exp_coeff: Fraction, bose: int, fermi: int, D: int) -> TruncatedSeries:
     """One root's factor x^p e^{s x} (1 - e^{-x})^b (1 + e^{-x})^f as a
-    series in ``x1`` through degree D.
+    series in ``x1`` through degree D, built once per process and shared
+    (series are immutable).
 
     (1 - e^{-x})^b is written x^b u^b with the unit u = (1 - e^{-x})/x, so an
     inverse bose factor needs x powers p + b >= 0 to cover it; otherwise the
     factor has a genuine pole.
     """
     variables = ("x1",)
-    net = f.power + f.bose
+    net = power + bose
     if net < 0:
-        raise PoleError(
-            f"uncancelled pole: x^{f.power} against (1-e^-x)^{f.bose}"
-        )
+        raise PoleError(f"uncancelled pole: x^{power} against (1-e^-x)^{bose}")
     out = TruncatedSeries.monomial(variables, D, (net,))
-    if f.bose:
+    if bose:
         x = TruncatedSeries.variable(variables, D + 1, "x1")
         u = (TruncatedSeries.constant(variables, D + 1, 1) - (-x).exp()).quotient_by("x1")
-        out = out * (u ** f.bose if f.bose > 0 else u.invert() ** (-f.bose))
+        out = out * (u ** bose if bose > 0 else u.invert() ** (-bose))
     x = TruncatedSeries.variable(variables, D, "x1")
-    if f.exp_coeff:
-        out = out * (x * f.exp_coeff).exp()
-    if f.fermi:
+    if exp_coeff:
+        out = out * (x * exp_coeff).exp()
+    if fermi:
         g = TruncatedSeries.constant(variables, D, 1) + (-x).exp()
-        out = out * (g ** f.fermi if f.fermi > 0 else g.invert() ** (-f.fermi))
+        out = out * (g ** fermi if fermi > 0 else g.invert() ** (-fermi))
     return out
 
 
@@ -192,17 +193,14 @@ class FactorExpression:
 
     def to_series(self, D: int) -> TruncatedSeries:
         """Lower to a truncated series over x1..xl: the scalar times the
-        product of every root's one-variable lowering (``_lower_root``),
-        each distinct factor lowered once.  Raises PoleError when an inverse
-        bose factor is not covered by x powers."""
+        product of every root's one-variable lowering (``_lower_root``).
+        Raises PoleError when an inverse bose factor is not covered by x
+        powers."""
         variables = root_variables(self.n_roots)
         out = TruncatedSeries.constant(variables, D, self.scalar)
-        lowered = {}
         for name, f in zip(variables, self.factors):
-            key = (f.power, f.exp_coeff, f.bose, f.fermi)
-            if key not in lowered:
-                lowered[key] = _lower_root(f, D)
-            out = out * lowered[key].rename({"x1": name}).embed(variables, D)
+            lowered = _lower_root(f.power, f.exp_coeff, f.bose, f.fermi, D)
+            out = out * lowered.rename({"x1": name}).embed(variables, D)
         return out
 
     def root_factor(self, D: int) -> TruncatedSeries:
@@ -215,7 +213,7 @@ class FactorExpression:
         first = self.factors[0]
         if any(f != first for f in self.factors):
             raise ValueError("roots carry different factors")
-        return _lower_root(first, D)
+        return _lower_root(first.power, first.exp_coeff, first.bose, first.fermi, D)
 
     def evaluate(self, values: Sequence[float], nondegenerate: bool = False) -> float:
         """Numeric value with root i set to values[i] (spectral pairings)."""
@@ -631,7 +629,7 @@ def verify_identity(kind: str, l: int, D: Optional[int] = None) -> VerifyReport:
     brute = _brute_series(kind, l, D)
     mismatch: Optional[Tuple[Tuple[int, ...], str, str]] = None
     exps_all = []
-    if factored.terms != brute.terms:
+    if factored != brute:
         exps_all = sorted(set(factored.terms) | set(brute.terms))
     for exps in exps_all:
         a = factored.coefficient(exps)

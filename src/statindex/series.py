@@ -1,29 +1,30 @@
 """Sparse truncated power series over exact rational coefficients.
 
 A series lives in Q[x_1, ..., x_n] modulo all monomials of total degree
-greater than the truncation D.  Terms are kept in a dict mapping exponent
-tuples to nonzero Fraction coefficients, so two series over the same
-variables and truncation are equal iff their term dicts are equal, and no
-operation ever leaves exact arithmetic.
+greater than the truncation D.  It is held in integer form: a dict mapping
+exponent tuples to nonzero int numerators over one common denominator, in
+canonical form (denominator > 0, no common factor of the denominator and
+every numerator).  Two series over the same variables and truncation are
+equal iff their integer forms are, and no operation leaves exact arithmetic.
 
-Products, inverses and exponentials share one graded convolution kernel.
-Each operand is grouped by total degree (degree buckets), so only term
-pairs whose degrees sum to at most D are ever visited, and is scaled once
-to integer numerators over the lcm of its denominators (the common
-denominator), so pairs accumulate as plain ints and each output term
-becomes one normalised Fraction.  ``invert`` and ``exp`` solve a graded
-recurrence on homogeneous parts with the same kernel instead of repeated
-full products.
+Every operation works on the integer form and builds no Fraction.  Products,
+inverses and exponentials share one graded convolution kernel: terms are
+grouped by total degree (degree buckets), so only term pairs whose degrees
+sum to at most D are visited, and pairs accumulate as plain ints.  ``invert``
+and ``exp`` solve a graded recurrence on homogeneous parts with the same
+kernel instead of repeated full products.  ``terms``, the Fraction view, is
+built on first read and then kept; ``coefficient`` builds one Fraction.
 
 Instances are immutable by convention: every operation returns a fresh
-series and nothing mutates ``terms`` after construction, so values may be
-shared freely across threads.
+series, and the ``terms`` dict is shared by every reader of a series (and
+by every caller of a memoised factor such as ``genera.generating_series``),
+so it must never be mutated.  Values may be shared freely across threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -71,20 +72,18 @@ def _coerce(value) -> Fraction:
 
 # -- graded convolution kernel -------------------------------------------------
 #
-# Integer form of a series: one denominator and, per total degree d, the list
-# of (exponents, integer numerator) of its degree-d terms.
+# A series is held as integer numerators over one denominator.  The kernel
+# groups the numerators by total degree: parts[d] lists the (exponents,
+# numerator) pairs of the degree-d terms.
 
 Part = List[Tuple[Exponents, int]]
 
 
-def _integer_parts(terms: Mapping[Exponents, Fraction], D: int) -> Tuple[int, List[Part]]:
-    """(den, parts): parts[d] holds the degree-d terms as numerators over den,
-    the lcm of every denominator in ``terms``."""
-    den = lcm(*[c.denominator for c in terms.values()])
+def _parts(nums: Mapping[Exponents, int], D: int) -> List[Part]:
     parts: List[Part] = [[] for _ in range(D + 1)]
-    for exps, coeff in terms.items():
-        parts[sum(exps)].append((exps, coeff.numerator * (den // coeff.denominator)))
-    return den, parts
+    for exps, n in nums.items():
+        parts[sum(exps)].append((exps, n))
+    return parts
 
 
 def _convolve(acc: Dict[Exponents, int], left: Part, right: Part, weight: int = 1) -> None:
@@ -98,15 +97,31 @@ def _convolve(acc: Dict[Exponents, int], left: Part, right: Part, weight: int = 
             acc[exps] = get(exps, 0) + na * nb
 
 
-def _fractions(acc: Mapping[Exponents, int], num: int, den: int) -> Dict[Exponents, Fraction]:
-    """The nonzero accumulated numerators, each times num/den, as Fractions."""
-    return {exps: Fraction(n * num, den) for exps, n in acc.items() if n}
+def _reduced(den: int, acc: Mapping[Exponents, int]) -> Tuple[int, Dict[Exponents, int]]:
+    """The numerators ``acc`` over ``den`` > 0 in canonical form: zeros
+    dropped and the common factor of den and every numerator divided out."""
+    nums = {exps: n for exps, n in acc.items() if n} if 0 in acc.values() else acc
+    g = gcd(den, *nums.values())
+    if g > 1:
+        den //= g
+        nums = {exps: n // g for exps, n in nums.items()}
+    return den, nums
+
+
+def _check_header(variables: Sequence[str], truncation: int) -> Tuple[str, ...]:
+    if truncation < 0:
+        raise ValueError("truncation degree must be >= 0")
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise ValueError("duplicate variable names")
+    return variables
 
 
 class TruncatedSeries:
-    """Multivariate power series with exact coefficients, truncated at total degree D."""
+    """Multivariate power series with exact coefficients, truncated at total degree D,
+    held as numerators ``_nums`` over the denominator ``_den``."""
 
-    __slots__ = ("variables", "truncation", "terms")
+    __slots__ = ("variables", "truncation", "_den", "_nums", "_terms")
 
     def __init__(
         self,
@@ -114,11 +129,7 @@ class TruncatedSeries:
         truncation: int,
         terms: Optional[Mapping[Exponents, Fraction]] = None,
     ):
-        if truncation < 0:
-            raise ValueError("truncation degree must be >= 0")
-        variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise ValueError("duplicate variable names")
+        variables = _check_header(variables, truncation)
         clean: Dict[Exponents, Fraction] = {}
         if terms:
             n = len(variables)
@@ -133,21 +144,25 @@ class TruncatedSeries:
                 coeff = _coerce(coeff)
                 if coeff:
                     clean[exps] = coeff
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "terms", clean)
+        # over the lcm of the reduced denominators the form is canonical
+        den = lcm(*[c.denominator for c in clean.values()])
+        nums = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._init(variables, truncation, den, nums, clean)
+
+    def _init(self, *values) -> None:
+        """Set every slot, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _trusted(
-        cls, variables: Tuple[str, ...], truncation: int, terms: Dict[Exponents, Fraction]
+        cls, variables: Tuple[str, ...], truncation: int, den: int, acc: Mapping[Exponents, int]
     ) -> "TruncatedSeries":
-        """Wrap kernel output without re-validation: ``terms`` must already
-        hold in-bound exponent tuples of the right arity and nonzero
-        Fractions, and ``variables`` be a tuple of distinct names."""
+        """Wrap kernel output, numerators ``acc`` over ``den`` > 0, in canonical
+        form without re-validation: the exponent tuples must be in bound and
+        of the right arity, and ``variables`` a tuple of distinct names."""
         out = object.__new__(cls)
-        object.__setattr__(out, "variables", variables)
-        object.__setattr__(out, "truncation", truncation)
-        object.__setattr__(out, "terms", terms)
+        out._init(variables, truncation, *_reduced(den, acc), None)
         return out
 
     def __setattr__(self, name, value):
@@ -180,21 +195,32 @@ class TruncatedSeries:
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def terms(self) -> Dict[Exponents, Fraction]:
+        """The nonzero coefficients as Fractions by exponent tuple.  Built on
+        first read and then kept, so the dict is shared: never mutate it."""
+        terms = self._terms
+        if terms is None:
+            den = self._den
+            terms = {e: Fraction(n, den) for e, n in self._nums.items()}
+            object.__setattr__(self, "_terms", terms)
+        return terms
+
     def coefficient(self, exponents: Exponents) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
+        return Fraction(self._nums.get(tuple(exponents), 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+        return Fraction(self._nums.get((0,) * len(self.variables), 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def max_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self._nums), default=0)
 
     def homogeneous_part(self, degree: int) -> "TruncatedSeries":
-        terms = {e: c for e, c in self.terms.items() if sum(e) == degree}
-        return TruncatedSeries(self.variables, self.truncation, terms)
+        nums = {e: n for e, n in self._nums.items() if sum(e) == degree}
+        return TruncatedSeries._trusted(self.variables, self.truncation, self._den, nums)
 
     def sorted_terms(self) -> List[Tuple[Exponents, Fraction]]:
         """Terms in ascending graded-lex order."""
@@ -216,15 +242,14 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            prev = terms.get(exps)
-            acc = coeff if prev is None else prev + coeff
-            if acc:
-                terms[exps] = acc
-            else:
-                del terms[exps]
-        return TruncatedSeries._trusted(self.variables, self.truncation, terms)
+        den = lcm(self._den, other._den)
+        scale = den // self._den
+        acc = {e: n * scale for e, n in self._nums.items()}
+        scale = den // other._den
+        get = acc.get
+        for exps, n in other._nums.items():
+            acc[exps] = get(exps, 0) + n * scale
+        return TruncatedSeries._trusted(self.variables, self.truncation, den, acc)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
@@ -233,52 +258,43 @@ class TruncatedSeries:
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries._trusted(
-            self.variables, self.truncation, {e: -c for e, c in self.terms.items()}
+            self.variables, self.truncation, self._den, {e: -n for e, n in self._nums.items()}
         )
 
     def __mul__(self, other) -> "TruncatedSeries":
         """Truncated product, or scaling by an int or Fraction.
 
-        Both operands are put into integer form over their own common
-        denominator and grouped into degree buckets; each degree-a bucket of
-        self meets only the other's terms of degree <= D - a, the int
-        products accumulate per monomial, and every output coefficient is
-        one Fraction over the product of the two denominators.
+        Both operands are grouped into degree buckets of their integer
+        numerators; each degree-a bucket of self meets only the other's
+        terms of degree <= D - a, the int products accumulate per monomial,
+        and the result is over the product of the two denominators.
         """
         if isinstance(other, (int, Fraction)):
-            scalar = _coerce(other)
-            if not scalar:
-                return TruncatedSeries.zero(self.variables, self.truncation)
-            return TruncatedSeries._trusted(
-                self.variables,
-                self.truncation,
-                {e: c * scalar for e, c in self.terms.items()},
-            )
+            p, q = other.as_integer_ratio()
+            acc = {e: n * p for e, n in self._nums.items()}
+            return TruncatedSeries._trusted(self.variables, self.truncation, self._den * q, acc)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
         D = self.truncation
-        den_a, parts_a = _integer_parts(self.terms, D)
-        den_b, parts_b = _integer_parts(other.terms, D)
         upto: List[Part] = []  # upto[d]: the other's terms of degree <= d
         flat: Part = []
-        for part in parts_b:
+        for part in _parts(other._nums, D):
             flat = flat + part
             upto.append(flat)
         acc: Dict[Exponents, int] = {}
-        for d, part in enumerate(parts_a):
+        for d, part in enumerate(_parts(self._nums, D)):
             if part:
                 _convolve(acc, part, upto[D - d])
-        return TruncatedSeries._trusted(
-            self.variables, D, _fractions(acc, 1, den_a * den_b)
-        )
+        return TruncatedSeries._trusted(self.variables, D, self._den * other._den, acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series power requires a non-negative integer")
-        result = TruncatedSeries.constant(self.variables, self.truncation, 1)
+        one = {(0,) * len(self.variables): 1}
+        result = TruncatedSeries._trusted(self.variables, self.truncation, 1, one)
         base = self
         e = exponent
         while e:
@@ -290,49 +306,51 @@ class TruncatedSeries:
         return result
 
     def _graded_solve(
-        self, den_g: int, parts_g: List[Part], first: Fraction, scales: Sequence[Fraction]
+        self, parts_g: List[Part], first: Tuple[int, int], num: int, dens: Sequence[int]
     ) -> "TruncatedSeries":
-        """The series R with R_0 = first and, for d = 1..D,
-        R_d = scales[d] * sum_{k=1..d} G_k R_{d-k} on homogeneous parts,
-        where G_k = parts_g[k] / den_g.
+        """The series R with R_0 = first[0] / first[1] (in lowest terms) and,
+        for d = 1..D, R_d = (num / dens[d]) * sum_{k=1..d} G_k R_{d-k} on
+        homogeneous parts, where G_k = parts_g[k] / self._den.
 
-        Each R_d is normalised to Fractions once, then kept in integer form
-        over the lcm of its own denominators for the later degrees.
+        Each R_d is kept in canonical form over its own denominator, and the
+        degrees are put over one common denominator at the end.
         """
         D = self.truncation
         zero_exps = (0,) * len(self.variables)
-        terms: Dict[Exponents, Fraction] = {zero_exps: first}
-        dens = [first.denominator]
-        parts_r: List[Part] = [[(zero_exps, first.numerator)]]
+        dens_r = [first[1]]
+        parts_r: List[Part] = [[(zero_exps, first[0])]]
         for d in range(1, D + 1):
             ks = [k for k in range(1, d + 1) if parts_g[k] and parts_r[d - k]]
-            den = lcm(*[dens[d - k] for k in ks])
+            den = lcm(*[dens_r[d - k] for k in ks])
             acc: Dict[Exponents, int] = {}
             for k in ks:
-                _convolve(acc, parts_g[k], parts_r[d - k], den // dens[d - k])
-            scale = scales[d]
-            part = _fractions(acc, scale.numerator, scale.denominator * den_g * den)
-            terms.update(part)
-            dens.append(lcm(*[c.denominator for c in part.values()]))
-            parts_r.append(
-                [(e, c.numerator * (dens[d] // c.denominator)) for e, c in part.items()]
-            )
-        return TruncatedSeries._trusted(self.variables, D, terms)
+                _convolve(acc, parts_g[k], parts_r[d - k], den // dens_r[d - k] * num)
+            den, part = _reduced(dens[d] * self._den * den, acc)
+            dens_r.append(den)
+            parts_r.append(list(part.items()))
+        den = lcm(*dens_r)
+        nums: Dict[Exponents, int] = {}
+        for den_d, part in zip(dens_r, parts_r):
+            scale = den // den_d
+            for exps, n in part:
+                nums[exps] = n * scale
+        return TruncatedSeries._trusted(self.variables, D, den, nums)
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the truncation degree.
 
         Solves the graded recurrence B_0 = 1/a_0,
         B_d = -(1/a_0) * sum_{k=1..d} A_k B_{d-k} on homogeneous parts with
-        the convolution kernel: A in integer form over one common
-        denominator, each B_d over the lcm of its own denominators.
+        the convolution kernel: A over its common denominator, each B_d over
+        its own.
         """
-        a0 = self.constant_term()
-        if not a0:
+        n0 = self._nums.get((0,) * len(self.variables))
+        if not n0:
             raise NonUnitError("cannot invert series with zero constant term")
-        den, parts = _integer_parts(self.terms, self.truncation)
-        step = -1 / a0
-        return self._graded_solve(den, parts, 1 / a0, [step] * (self.truncation + 1))
+        # 1/a_0 = p/q in lowest terms with q > 0
+        g = gcd(self._den, n0) if n0 > 0 else -gcd(self._den, n0)
+        p, q, D = self._den // g, n0 // g, self.truncation
+        return self._graded_solve(_parts(self._nums, D), (p, q), -p, [q] * (D + 1))
 
     def exp(self) -> "TruncatedSeries":
         """Exponential sum_{k<=D} self^k / k!; requires zero constant term.
@@ -343,36 +361,34 @@ class TruncatedSeries:
         is built degree by degree in one pass (E_0 = 1) rather than from
         D successive products.
         """
-        if self.constant_term():
+        if (0,) * len(self.variables) in self._nums:
             raise ValueError("series exponential requires zero constant term")
         D = self.truncation
-        den, parts = _integer_parts(self.terms, D)
+        parts = _parts(self._nums, D)
         weighted = [[(e, k * n) for e, n in part] for k, part in enumerate(parts)]
-        scales = [Fraction(1)] + [Fraction(1, d) for d in range(1, D + 1)]
-        return self._graded_solve(den, weighted, Fraction(1), scales)
+        return self._graded_solve(weighted, (1, 1), 1, range(D + 1))
 
     def quotient_by(self, name: str) -> "TruncatedSeries":
         """Divide by a variable; every term must contain it.  Truncation drops by 1."""
         if name not in self.variables:
             raise ValueError(f"unknown variable {name!r}")
         idx = self.variables.index(name)
-        terms: Dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
+        nums: Dict[Exponents, int] = {}
+        for exps, n in self._nums.items():
             if exps[idx] < 1:
                 raise NonUnitError(
                     f"term with exponents {exps} lacks a factor of {name}"
                 )
-            reduced = exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]
-            terms[reduced] = coeff
+            nums[exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]] = n
         if self.truncation == 0:
             raise NonUnitError("cannot divide a degree-0 series by a variable")
-        return TruncatedSeries(self.variables, self.truncation - 1, terms)
+        return TruncatedSeries._trusted(self.variables, self.truncation - 1, self._den, nums)
 
     def truncate(self, truncation: int) -> "TruncatedSeries":
         """Re-truncate to a lower (or equal) total degree."""
         if truncation > self.truncation:
             raise ValueError("cannot raise the truncation degree of a series")
-        return TruncatedSeries(self.variables, truncation, self.terms)
+        return self.embed(self.variables, truncation)
 
     def embed(self, variables: Sequence[str], truncation: int) -> "TruncatedSeries":
         """Reinterpret over a superset of variables (by name) at a new truncation.
@@ -380,25 +396,26 @@ class TruncatedSeries:
         Raising the truncation is legitimate here because embedding is only
         used on series that are exact polynomials in their own variables.
         """
-        variables = tuple(variables)
+        variables = _check_header(variables, truncation)
         positions = []
         for v in self.variables:
             if v not in variables:
                 raise ValueError(f"variable {v!r} missing from target set")
             positions.append(variables.index(v))
         n = len(variables)
-        terms: Dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * n
-            for pos, e in zip(positions, exps):
-                new[pos] = e
-            terms[tuple(new)] = coeff
-        return TruncatedSeries(variables, truncation, terms)
+        nums: Dict[Exponents, int] = {}
+        for exps, num in self._nums.items():
+            if sum(exps) <= truncation:
+                new = [0] * n
+                for pos, e in zip(positions, exps):
+                    new[pos] = e
+                nums[tuple(new)] = num
+        return TruncatedSeries._trusted(variables, truncation, self._den, nums)
 
     def rename(self, mapping: Mapping[str, str]) -> "TruncatedSeries":
         """Rename variables in place (order preserved)."""
-        variables = tuple(mapping.get(v, v) for v in self.variables)
-        return TruncatedSeries(variables, self.truncation, self.terms)
+        variables = _check_header([mapping.get(v, v) for v in self.variables], self.truncation)
+        return TruncatedSeries._trusted(variables, self.truncation, self._den, self._nums)
 
     # -- equality / display / serialization --------------------------------
 
@@ -408,12 +425,13 @@ class TruncatedSeries:
         return (
             self.variables == other.variables
             and self.truncation == other.truncation
-            and self.terms == other.terms
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     def __hash__(self):
         return hash(
-            (self.variables, self.truncation, tuple(sorted(self.terms.items())))
+            (self.variables, self.truncation, self._den, frozenset(self._nums.items()))
         )
 
     def _term_str(self, exps: Exponents, coeff: Fraction) -> str:

@@ -115,6 +115,15 @@ def _affine_terms(spec: SpectrumSpec, tol: float, max_terms: int = 2_000_000):
     falls below tol; raises when the bound cannot be met."""
     a, c = spec.a, spec.c
     one_minus = -math.expm1(-a)
+    # the loop stops once a(n + 1 + c) >= -ln(tol (1 - e^{-a})), or where e^{-a(n + 1 + c)}
+    # underflows to 0 (exp(-745.2) == 0.0); the margin covers rounding
+    log_stop = math.log(tol) + math.log(one_minus) if tol > 0 else -math.inf
+    needed = -max(log_stop, -745.2) / a - c
+    if needed > 1.001 * max_terms + 1:
+        raise TailBoundError(
+            f"geometric tail needs about {needed:.3g} terms to fall below {tol}, "
+            f"more than {max_terms} (a = {a} too small)"
+        )
     for n in range(max_terms):
         lam = a * (n + c)
         yield lam

@@ -269,6 +269,21 @@ def test_affine_json_reports_overflowing_xi_as_inf(tmp_path, capsys):
     assert f"ln Xi_BE          {payload['log_xi_be']:.17g}" in text
 
 
+def test_hopeless_affine_tail_exits_2_at_once(tmp_path, capsys):
+    # a = 5e-324 would need far more than the 2,000,000-term limit; the
+    # closed-form count rejects it before the first term
+    import time
+
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"form": "affine", "a": 5e-324, "c": 5e-13}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectral", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: geometric tail needs about")
+    assert "Traceback" not in err
+
+
 def test_seed_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--seed=1", "verify", "--all", "--l", "1"])

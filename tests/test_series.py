@@ -192,3 +192,25 @@ def test_series_json_roundtrip_and_order():
 def test_constructor_drops_over_truncation_and_zeros():
     s = TruncatedSeries(("x",), 2, {(3,): Fraction(1), (1,): Fraction(0), (2,): 4})
     assert s.terms == {(2,): Fraction(4)}
+
+
+def test_operations_build_no_fractions(monkeypatch):
+    # the series operations work on the integer form; only the public
+    # constructor and the Fraction view (terms, coefficient) build Fractions
+    v = ("x", "y")
+    a = TruncatedSeries(v, 5, {(0, 0): Fraction(2, 3), (1, 0): Fraction(-1, 6), (1, 2): 5})
+    b = TruncatedSeries(v, 5, {(0, 1): Fraction(7, 4), (2, 1): Fraction(1, 9)})
+    q = Fraction(3, 4)
+    built = []
+    original = Fraction.__new__
+    monkeypatch.setattr(
+        Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or original(cls, *args, **kw)
+    )
+    product = a * b
+    out = [product, a + b, a - b, -a, a * q, 2 * a, a.invert(), b.exp(), a ** 3]
+    out += [a.truncate(2), a.homogeneous_part(3), b.quotient_by("y"), a.rename({"x": "z"})]
+    out += [a.embed(("w", "x", "y"), 6), (a + b).invert() * (a + b)]
+    assert a == a.truncate(5) and a != b and len({a, b, a + b - b}) == 2
+    assert built == []
+    assert product.coefficient((1, 1)) == Fraction(-1, 6) * Fraction(7, 4)
+    assert out[-1] == TruncatedSeries.constant(v, 5, 1)

@@ -3,12 +3,16 @@
 The oracle below multiplies term by term in Fractions and checks each
 pair's degree on its own, with no degree buckets, no common denominator
 and no recurrence, so it shares no code with the convolution kernel it
-checks (only series addition and scaling by a Fraction).
+checks (only series addition and scaling by a Fraction).  The integer form
+a series is held in is checked the same way: the linear operations and
+restrictions against Fraction-dict versions written here, equality and
+hashing against Fraction-dict equality, and the memoised one-variable
+factors against freshly built ones.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -16,6 +20,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
+from statindex.genera import GENUS_KINDS, _root_factor, generating_series  # noqa: E402
+from statindex.pairings import PAIRING_KINDS, _lower_root, _root_density  # noqa: E402
 from statindex.series import TruncatedSeries  # noqa: E402
 
 # dense series take every monomial when there are at most this many
@@ -72,9 +78,13 @@ def assert_clean(s):
     for exps, coeff in s.terms.items():
         assert type(exps) is tuple and len(exps) == n and sum(exps) <= s.truncation
         assert type(coeff) is Fraction and coeff != 0
+    # the integer form is canonical and agrees with the Fraction view
+    assert s._den > 0 and gcd(s._den, *s._nums.values()) == 1
+    assert {e: Fraction(n, s._den) for e, n in s._nums.items()} == s.terms
 
 
-PROPERTY = settings(max_examples=80, deadline=None)
+# max_examples comes from the active profile (tests/conftest.py)
+PROPERTY = settings(deadline=None)
 
 
 @PROPERTY
@@ -114,9 +124,111 @@ def test_invert_is_a_two_sided_inverse(single, a0):
 @given(series_tuples(3))
 def test_mul_is_associative_and_distributive(triple):
     a, b, c = triple
-    assert (a * b) * c == a * (b * c)
+    left, right = (a * b) * c, a * (b * c)
+    assert left == right and hash(left) == hash(right)
     assert a * (b + c) == a * b + a * c
     # the cross terms cancel inside one product and must leave no zero behind
     difference_of_squares = (a + b) * (a - b)
     assert_clean(difference_of_squares)
     assert difference_of_squares == a * a - b * b
+
+
+# -- the integer form against Fraction dicts -------------------------------------
+
+
+def fraction_dict(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def naive_add(a, b, sign=1):
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return fraction_dict(out)
+
+
+def has_value(s, variables, truncation, terms):
+    assert_clean(s)
+    return (s.variables, s.truncation, s.terms) == (tuple(variables), truncation, terms)
+
+
+@PROPERTY
+@given(series_tuples(2), st.booleans())
+def test_equality_and_hash_of_the_integer_form(pair, perturb):
+    a, b = pair
+    again = TruncatedSeries(a.variables, a.truncation, dict(a.terms))
+    assert again == a and hash(again) == hash(a)
+    assert TruncatedSeries.from_json_dict(a.to_json_dict()) == a
+    if perturb:
+        # a copy of a, with one coefficient moved by a tiny amount
+        terms = dict(a.terms)
+        if terms:
+            terms[min(terms)] += Fraction(1, 10**30)
+        b = TruncatedSeries(a.variables, a.truncation, terms)
+    assert (a == b) == (a.terms == b.terms)
+    assert (a != b) == (a.terms != b.terms)
+    # one value built two ways
+    round_trip = a + b - b
+    assert round_trip == a and hash(round_trip) == hash(a)
+    doubled = (a + a) * Fraction(1, 2)
+    assert doubled == a and hash(doubled) == hash(a)
+
+
+@PROPERTY
+@given(series_tuples(2), COEFFICIENTS, st.data())
+def test_linear_operations_and_restrictions_match_fraction_dicts(pair, q, data):
+    a, b = pair
+    v, D = a.variables, a.truncation
+    assert has_value(a + b, v, D, naive_add(a, b))
+    assert has_value(a - b, v, D, naive_add(a, b, -1))
+    assert has_value(-a, v, D, {e: -c for e, c in a.terms.items()})
+    scaled = fraction_dict({e: c * q for e, c in a.terms.items()})
+    assert has_value(a * q, v, D, scaled) and has_value(q * a, v, D, scaled)
+    t = data.draw(st.integers(0, D))
+    assert has_value(a.truncate(t), v, t, {e: c for e, c in a.terms.items() if sum(e) <= t})
+    d = data.draw(st.integers(0, D + 1))
+    part = {e: c for e, c in a.terms.items() if sum(e) == d}
+    assert has_value(a.homogeneous_part(d), v, D, part)
+    k = data.draw(st.integers(0, len(v) - 1))
+    bumped = {e[:k] + (e[k] + 1,) + e[k + 1 :]: c for e, c in a.terms.items()}
+    assert has_value(TruncatedSeries(v, D + 1, bumped).quotient_by(v[k]), v, D, a.terms)
+    if a.constant_term():
+        with pytest.raises(ValueError, match="lacks a factor"):
+            a.quotient_by(v[k])
+
+
+@PROPERTY
+@given(series_tuples(1), st.data())
+def test_embed_and_rename_match_fraction_dicts(single, data):
+    (a,) = single
+    v, D = a.variables, a.truncation
+    extra = tuple(f"y{i}" for i in range(data.draw(st.integers(0, 2))))
+    target = tuple(data.draw(st.permutations(v + extra)))
+    T = data.draw(st.integers(0, D + 2))
+    embedded = {}
+    for exps, c in a.terms.items():
+        if sum(exps) <= T:
+            by_name = dict(zip(v, exps))
+            embedded[tuple(by_name.get(name, 0) for name in target)] = c
+    assert has_value(a.embed(target, T), target, T, embedded)
+    renamed = tuple(f"r{name}" if k % 2 else name for k, name in enumerate(v))
+    assert has_value(a.rename(dict(zip(v, renamed))), renamed, D, a.terms)
+    if len(v) > 1:
+        with pytest.raises(ValueError, match="duplicate"):
+            a.rename({v[0]: v[1]})
+
+
+@pytest.mark.parametrize("D", (1, 4, 9, 16))
+def test_memoised_factors_equal_fresh_ones(D):
+    for kind in GENUS_KINDS:
+        fresh = _root_factor.__wrapped__(kind, D)
+        assert generating_series(kind, D) == fresh
+        assert generating_series(kind, D).terms == fresh.terms
+        assert generating_series(kind, D) is generating_series(kind, D)
+    for kind in PAIRING_KINDS:
+        for mode in ("exact", "nondegenerate"):
+            root = _root_density(kind, mode)
+            f = root.factors[0]
+            fresh = _lower_root.__wrapped__(f.power, f.exp_coeff, f.bose, f.fermi, D)
+            assert root.root_factor(D) == fresh
+            assert root.root_factor(D).terms == fresh.terms

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from statindex.statmech import LevelSystem, grand_ensemble
+from statindex.statmech import LevelSystem, TailBoundError, grand_ensemble
 from statindex.spectral import (
     SpectrumSpec,
+    _affine_terms,
     build_spectral_report,
     de_rham_type_character,
     formal_chern_character,
@@ -54,6 +55,28 @@ def test_formal_chern_character_finite():
 def test_formal_chern_character_affine_geometric():
     spec = SpectrumSpec.affine(1.0, 1.0)
     assert abs(formal_chern_character(spec) - 1.0 / (math.e - 1.0)) < 1e-12
+
+
+def test_hopeless_affine_tail_raises_on_first_term():
+    terms = _affine_terms(SpectrumSpec.affine(5e-324, 5e-13), 1e-12)
+    with pytest.raises(TailBoundError, match="needs about"):
+        next(terms)
+    with pytest.raises(TailBoundError, match="needs about"):
+        next(_affine_terms(SpectrumSpec.affine(2e-5, 0.5), 1e-13))
+
+
+@pytest.mark.parametrize(
+    "a, c, tol", [(1.0, 0.5, 1e-13), (0.0025, 1.3, 1e-12), (0.3, 2.0, 0.0), (5.0, 1e-300, 0.0)]
+)
+def test_affine_term_limit_is_exact(a, c, tol):
+    # a tail that fits its term limit exactly still converges, one term
+    # fewer raises after the loop: the early check never cuts it short
+    # (tol = 0 stops where e^{-lambda} underflows)
+    spec = SpectrumSpec.affine(a, c)
+    full = list(_affine_terms(spec, tol))
+    assert list(_affine_terms(spec, tol, max_terms=len(full))) == full
+    with pytest.raises(TailBoundError, match="still above"):
+        list(_affine_terms(spec, tol, max_terms=len(full) - 1))
 
 
 def test_xi_formal_finite():
