@@ -11,10 +11,10 @@ x^{-1} times the unit series ((1 - e^{a x})/x)^{-1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, NamedTuple, Sequence, Tuple
 
+from ._record import Record, store
 from .series import Exponents, TruncatedSeries, format_rational, parse_rational
 
 __all__ = [
@@ -43,23 +43,22 @@ def _validate_root(root: TruncatedSeries) -> None:
             )
 
 
-@dataclass(frozen=True)
-class RootModel:
+class RootModel(Record):
     """A bundle as a multiset of Chern roots with integer multiplicities."""
 
-    variables: Tuple[str, ...]
-    truncation: int
-    roots: Tuple[Tuple[TruncatedSeries, int], ...]
+    __slots__ = __match_args__ = ("variables", "truncation", "roots")
 
-    def __post_init__(self):
-        roots = []
-        for root, mult in self.roots:
-            if root.variables != self.variables or root.truncation != self.truncation:
-                root = root.embed(self.variables, self.truncation)
+    def __init__(self, variables: Tuple[str, ...], truncation: int,
+                 roots: Tuple[Tuple[TruncatedSeries, int], ...]):
+        packed = []
+        for root, mult in roots:
+            if root.variables != variables or root.truncation != truncation:
+                root = root.embed(variables, truncation)
             _validate_root(root)
-            roots.append((root, int(mult)))
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "roots", tuple(roots))
+            packed.append((root, int(mult)))
+        store(self, "variables", tuple(variables))
+        store(self, "truncation", truncation)
+        store(self, "roots", tuple(packed))
 
     @classmethod
     def build(

@@ -18,12 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Sequence
 
+from ._record import Record
 from .series import format_rational
 from .symmetric import poly_str
 from .genera import GENUS_KINDS, genus_polynomial
@@ -44,25 +44,23 @@ __all__ = ["main", "RunConfig"]
 FORMATS = ("text", "json", "csv")
 
 
-@dataclass
-class RunConfig:
-    degree: Optional[int] = None
-    fmt: str = "text"
-    tolerance: float = 1e-12
+class RunConfig(Record, frozen=False):
+    __slots__ = __match_args__ = ("degree", "fmt", "tolerance")
 
-    def __post_init__(self):
-        if self.degree is not None and (
-            isinstance(self.degree, bool) or not isinstance(self.degree, int)
-        ):
-            raise ValueError(f"degree must be an integer, got {self.degree!r}")
-        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, (int, float)):
-            raise ValueError(f"tolerance must be a number, got {self.tolerance!r}")
-        if self.degree is not None and self.degree < 0:
+    def __init__(self, degree: Optional[int] = None, fmt: str = "text", tolerance: float = 1e-12):
+        if degree is not None and (isinstance(degree, bool) or not isinstance(degree, int)):
+            raise ValueError(f"degree must be an integer, got {degree!r}")
+        if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
+            raise ValueError(f"tolerance must be a number, got {tolerance!r}")
+        if degree is not None and degree < 0:
             raise ValueError("degree must be >= 0")
-        if not self.tolerance > 0:  # also rejects nan
+        if not tolerance > 0:  # also rejects nan
             raise ValueError("tolerance must be positive")
-        if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}")
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown format {fmt!r}")
+        self.degree = degree
+        self.fmt = fmt
+        self.tolerance = tolerance
 
 
 class _CliError(Exception):

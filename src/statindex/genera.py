@@ -28,11 +28,11 @@ the factored algebra of the pairings module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
+from ._record import Record, store
 from .series import TruncatedSeries
 from .symmetric import CHERN, PONTRYAGIN, ChernPolynomial, multiplicative_sequence
 
@@ -52,11 +52,13 @@ GENUS_KINDS = ("todd", "ahat", "bhat", "tdstar", "euler")
 _NORMALIZED = {"todd": True, "ahat": True, "bhat": False, "tdstar": False, "euler": False}
 
 
-@dataclass(frozen=True)
-class GenusSpec:
-    kind: str
-    generating_series: TruncatedSeries
-    normalized: bool
+class GenusSpec(Record):
+    __slots__ = __match_args__ = ("kind", "generating_series", "normalized")
+
+    def __init__(self, kind: str, generating_series: TruncatedSeries, normalized: bool):
+        store(self, "kind", kind)
+        store(self, "generating_series", generating_series)
+        store(self, "normalized", normalized)
 
 
 def root_variables(n: int) -> Tuple[str, ...]:

@@ -30,11 +30,11 @@ splitting route with.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._record import Record, store
 from .series import Exponents, TruncatedSeries
 from .symmetric import CHERN, PONTRYAGIN, ChernPolynomial
 from .genera import generating_series
@@ -60,21 +60,26 @@ class CatalogError(ValueError):
     """Unknown manifold name or malformed product expression."""
 
 
-@dataclass(frozen=True)
-class CohomologyModel:
+class CohomologyModel(Record):
     """Even cohomology ring with declared integration of the top monomial.
 
     ``factors`` lists the catalog factors, ``("cp", n)`` or ``("torus", l)``,
     in product order; the i-th cp factor owns the i-th generator.
     """
 
-    name: str
-    generators: Tuple[str, ...]
-    nilpotency: Tuple[int, ...]
-    complex_dim: int
-    top_exponents: Optional[Exponents]
-    top_integral: Fraction
-    factors: Tuple[Tuple[str, int], ...] = ()
+    __slots__ = __match_args__ = ("name", "generators", "nilpotency", "complex_dim",
+                                  "top_exponents", "top_integral", "factors")
+
+    def __init__(self, name: str, generators: Tuple[str, ...], nilpotency: Tuple[int, ...],
+                 complex_dim: int, top_exponents: Optional[Exponents], top_integral: Fraction,
+                 factors: Tuple[Tuple[str, int], ...] = ()):
+        store(self, "name", name)
+        store(self, "generators", generators)
+        store(self, "nilpotency", nilpotency)
+        store(self, "complex_dim", complex_dim)
+        store(self, "top_exponents", top_exponents)
+        store(self, "top_integral", top_integral)
+        store(self, "factors", factors)
 
     @property
     def real_dimension(self) -> int:
@@ -110,11 +115,13 @@ class CohomologyModel:
         return element.coefficient(self.top_exponents) * self.top_integral
 
 
-@dataclass(frozen=True)
-class TangentData:
+class TangentData(Record):
     """Chern classes c_1..c_l of the tangent bundle, as ring elements."""
 
-    chern: Tuple[TruncatedSeries, ...]
+    __slots__ = __match_args__ = ("chern",)
+
+    def __init__(self, chern: Tuple[TruncatedSeries, ...]):
+        store(self, "chern", chern)
 
     def chern_class(self, model: CohomologyModel, k: int) -> TruncatedSeries:
         if k == 0:

@@ -41,12 +41,12 @@ route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import exp as _fexp
 from typing import List, Optional, Sequence, Tuple, Union
 
+from ._record import Record, store
 from .series import TruncatedSeries, format_rational
 from .symmetric import CHERN, ChernPolynomial, multiplicative_sequence
 from .genera import euler_class_roots, generating_series, root_variables
@@ -80,12 +80,18 @@ class PoleError(ValueError):
     """A factored density with an uncancelled pole cannot be lowered to a series."""
 
 
-@dataclass
-class _RootFactor:
-    power: int = 0
-    exp_coeff: Fraction = field(default_factory=lambda: Fraction(0))
-    bose: int = 0
-    fermi: int = 0
+class _RootFactor(Record, frozen=False):
+    __slots__ = __match_args__ = ("power", "exp_coeff", "bose", "fermi")
+
+    def __init__(self, power: int = 0, exp_coeff: Fraction = Fraction(0), bose: int = 0,
+                 fermi: int = 0):
+        self.power = power
+        self.exp_coeff = exp_coeff
+        self.bose = bose
+        self.fermi = fermi
+
+    def copy(self) -> "_RootFactor":
+        return _RootFactor(self.power, self.exp_coeff, self.bose, self.fermi)
 
 
 @lru_cache(maxsize=256)
@@ -172,9 +178,7 @@ class FactorExpression:
     def copy(self) -> "FactorExpression":
         out = FactorExpression(self.n_roots)
         out.scalar = self.scalar
-        out.factors = [
-            _RootFactor(f.power, f.exp_coeff, f.bose, f.fermi) for f in self.factors
-        ]
+        out.factors = [f.copy() for f in self.factors]
         return out
 
     def nondegenerate_limit(self) -> "FactorExpression":
@@ -314,7 +318,7 @@ def pairing_density(kind: str, l: int, mode: str = "exact") -> FactorExpression:
     root = _root_density(kind, mode)
     expr = FactorExpression(l)
     expr.scalar = root.scalar ** l
-    expr.factors = [replace(root.factors[0]) for _ in range(l)]
+    expr.factors = [root.factors[0].copy() for _ in range(l)]
     return expr
 
 
@@ -326,8 +330,7 @@ def density_series(kind: str, l: int, mode: str, D: int) -> TruncatedSeries:
 # -- index evaluation -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(Record):
     """An index value with the density it integrates over ``roots`` roots.
 
     ``density`` (the Chern-basis polynomial) and ``density_form`` are built
@@ -335,11 +338,14 @@ class IndexReport:
     them.
     """
 
-    manifold: str
-    pairing: str
-    mode: str
-    index_value: Fraction
-    roots: int
+    __match_args__ = ("manifold", "pairing", "mode", "index_value", "roots")
+
+    def __init__(self, manifold: str, pairing: str, mode: str, index_value: Fraction, roots: int):
+        store(self, "manifold", manifold)
+        store(self, "pairing", pairing)
+        store(self, "mode", mode)
+        store(self, "index_value", index_value)
+        store(self, "roots", roots)
 
     @cached_property
     def density(self) -> ChernPolynomial:
@@ -441,16 +447,21 @@ def hrr_index(
 # -- dual-route verification -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    kind: str
-    l: int
-    truncation: int
-    ok: bool
-    canonical_form: str
-    chain: Tuple[str, ...]
-    first_mismatch: Optional[Tuple[Tuple[int, ...], str, str]]
-    literal_ok: Optional[bool]
+class VerifyReport(Record):
+    __slots__ = __match_args__ = ("kind", "l", "truncation", "ok", "canonical_form", "chain",
+                                  "first_mismatch", "literal_ok")
+
+    def __init__(self, kind: str, l: int, truncation: int, ok: bool, canonical_form: str,
+                 chain: Tuple[str, ...], first_mismatch: Optional[Tuple[Tuple[int, ...], str, str]],
+                 literal_ok: Optional[bool]):
+        store(self, "kind", kind)
+        store(self, "l", l)
+        store(self, "truncation", truncation)
+        store(self, "ok", ok)
+        store(self, "canonical_form", canonical_form)
+        store(self, "chain", chain)
+        store(self, "first_mismatch", first_mismatch)
+        store(self, "literal_ok", literal_ok)
 
     def to_json_dict(self) -> dict:
         return {

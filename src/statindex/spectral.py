@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+from ._record import Record, store
 from .series import bernoulli_numbers
 from .statmech import _KERNELS, TailBoundError, _require_keys, _safe_exp, _to_float, _to_floats
 from .pairings import PAIRING_KINDS, pairing_density
@@ -54,29 +54,29 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class SpectrumSpec:
+class SpectrumSpec(Record):
     """Discrete operator spectrum: explicit list or affine law a*(n + c)."""
 
-    form: str
-    eigenvalues: Tuple[float, ...] = ()
-    a: float = 0.0
-    c: float = 0.0
-    graded: bool = False
+    __slots__ = __match_args__ = ("form", "eigenvalues", "a", "c", "graded")
 
-    def __post_init__(self):
-        if self.form == "finite":
-            eigs = _to_floats(self.eigenvalues, "eigenvalues")
-            if not eigs:
+    def __init__(self, form: str, eigenvalues: Tuple[float, ...] = (), a: float = 0.0,
+                 c: float = 0.0, graded: bool = False):
+        if form == "finite":
+            eigenvalues = _to_floats(eigenvalues, "eigenvalues")
+            if not eigenvalues:
                 raise ValueError("finite spectrum needs at least one eigenvalue")
-            if not all(0 < x < math.inf for x in eigs):
+            if not all(0 < x < math.inf for x in eigenvalues):
                 raise ValueError("finite spectrum eigenvalues must be positive and finite")
-            object.__setattr__(self, "eigenvalues", eigs)
-        elif self.form == "affine":
-            if not (0 < self.a < math.inf and 0 < self.c < math.inf):
+        elif form == "affine":
+            if not (0 < a < math.inf and 0 < c < math.inf):
                 raise ValueError("affine spectrum needs finite a > 0 and c > 0")
         else:
-            raise ValueError(f"unknown spectrum form {self.form!r}")
+            raise ValueError(f"unknown spectrum form {form!r}")
+        store(self, "form", form)
+        store(self, "eigenvalues", eigenvalues)
+        store(self, "a", a)
+        store(self, "c", c)
+        store(self, "graded", graded)
 
     @classmethod
     def finite(cls, eigenvalues: Sequence[float], graded: bool = False) -> "SpectrumSpec":
@@ -319,15 +319,20 @@ def formal_pairing(spec: SpectrumSpec, kind: str, mode: str = "exact") -> float:
     return pairing_density(kind, len(spec.eigenvalues), mode).evaluate(spec.eigenvalues)
 
 
-@dataclass(frozen=True)
-class SpectralPairReport:
-    spec: SpectrumSpec
-    chern_character: float
-    log_xi_be: float
-    log_xi_fd: float
-    determinant: float
-    euler_class: float
-    pairings: Optional[Dict[str, Dict[str, float]]]
+class SpectralPairReport(Record):
+    __slots__ = __match_args__ = ("spec", "chern_character", "log_xi_be", "log_xi_fd",
+                                  "determinant", "euler_class", "pairings")
+
+    def __init__(self, spec: SpectrumSpec, chern_character: float, log_xi_be: float,
+                 log_xi_fd: float, determinant: float, euler_class: float,
+                 pairings: Optional[Dict[str, Dict[str, float]]]):
+        store(self, "spec", spec)
+        store(self, "chern_character", chern_character)
+        store(self, "log_xi_be", log_xi_be)
+        store(self, "log_xi_fd", log_xi_fd)
+        store(self, "determinant", determinant)
+        store(self, "euler_class", euler_class)
+        store(self, "pairings", pairings)
 
     def to_json_dict(self) -> dict:
         return {

@@ -23,9 +23,9 @@ not overflow the linear-domain product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ._record import Record, store
 from .bundles import DivergenceError, fock_character_value
 
 __all__ = [
@@ -80,12 +80,19 @@ def _to_float(value, what: str) -> float:
 
 
 def _to_floats(values, what: str) -> Tuple[float, ...]:
-    """A list of numbers as floats; a string is rejected rather than read
-    character by character."""
+    """A list of numbers as floats, passed through when all are floats; a
+    string, or a boolean or string item, is rejected rather than read."""
     if isinstance(values, str):
         raise ValueError(f"{what} must be a list of numbers, got the string {values!r}")
     try:
-        return tuple(map(float, values))
+        items = tuple(values)
+        kinds = set(map(type, items))
+        if kinds <= {float}:
+            return items
+        if any(issubclass(kind, (bool, str)) for kind in kinds):
+            idx = next(i for i, item in enumerate(items) if isinstance(item, (bool, str)))
+            raise ValueError(f"{what} must be numbers; item {idx} is {items[idx]!r}")
+        return tuple(map(float, items))
     except TypeError:
         raise ValueError(f"{what} must be a list of numbers") from None
 
@@ -205,40 +212,39 @@ def occupation_by_derivative(statistics: str, x: float, h: float) -> float:
     return -(plus - minus) / (2.0 * h)
 
 
-@dataclass(frozen=True)
-class LevelSystem:
+class LevelSystem(Record):
     """Finite list of single-particle levels in the grand canonical ensemble.
 
     Each level is one quantum state; degeneracy is expressed by repeating
     the entry.  beta is primary and temperature is derived as 1/(kB*beta).
     """
 
-    levels: Tuple[float, ...]
-    mu: float
-    beta: float
-    statistics: str
-    kB: float = 1.0
+    __slots__ = __match_args__ = ("levels", "mu", "beta", "statistics", "kB")
 
-    def __post_init__(self):
-        levels = _to_floats(self.levels, "levels")
-        object.__setattr__(self, "levels", levels)
-        _check_statistics(self.statistics)
+    def __init__(self, levels: Tuple[float, ...], mu: float, beta: float, statistics: str,
+                 kB: float = 1.0):
+        levels = _to_floats(levels, "levels")
+        _check_statistics(statistics)
         if not all(map(math.isfinite, levels)):
             idx = next(i for i, eps in enumerate(levels) if not math.isfinite(eps))
             raise ValueError(f"levels must be finite; level {idx} is {levels[idx]}")
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
-        for name in ("beta", "kB"):
-            value = getattr(self, name)
+        if not math.isfinite(mu):
+            raise ValueError(f"mu must be finite, got {mu}")
+        for name, value in (("beta", beta), ("kB", kB)):
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         # eps - mu is monotone in eps, so the lowest level decides
-        if self.statistics == "BE" and levels and min(levels) - self.mu <= 0:
-            idx, eps = next((i, eps) for i, eps in enumerate(levels) if eps - self.mu <= 0)
+        if statistics == "BE" and levels and min(levels) - mu <= 0:
+            idx, eps = next((i, eps) for i, eps in enumerate(levels) if eps - mu <= 0)
             raise ConvergenceError(
-                f"level {idx} (eps = {eps}) does not satisfy eps > mu = {self.mu}; "
+                f"level {idx} (eps = {eps}) does not satisfy eps > mu = {mu}; "
                 "the bosonic occupation sum diverges"
             )
+        store(self, "levels", levels)
+        store(self, "mu", mu)
+        store(self, "beta", beta)
+        store(self, "statistics", statistics)
+        store(self, "kB", kB)
 
     @property
     def temperature(self) -> float:
@@ -278,19 +284,24 @@ class LevelSystem:
         )
 
 
-@dataclass(frozen=True)
-class EnsembleReport:
+class EnsembleReport(Record):
     """Per-level and total grand canonical quantities; ``arguments`` holds
     the level arguments x_i = beta*(eps_i - mu) they were computed from."""
 
-    system: LevelSystem
-    arguments: Tuple[float, ...]
-    per_level_xi: Tuple[float, ...]
-    per_level_occupation: Tuple[float, ...]
-    log_xi: float
-    xi: float
-    omega: float
-    mean_particle_number: float
+    __slots__ = __match_args__ = ("system", "arguments", "per_level_xi", "per_level_occupation",
+                                  "log_xi", "xi", "omega", "mean_particle_number")
+
+    def __init__(self, system: LevelSystem, arguments: Tuple[float, ...],
+                 per_level_xi: Tuple[float, ...], per_level_occupation: Tuple[float, ...],
+                 log_xi: float, xi: float, omega: float, mean_particle_number: float):
+        store(self, "system", system)
+        store(self, "arguments", arguments)
+        store(self, "per_level_xi", per_level_xi)
+        store(self, "per_level_occupation", per_level_occupation)
+        store(self, "log_xi", log_xi)
+        store(self, "xi", xi)
+        store(self, "omega", omega)
+        store(self, "mean_particle_number", mean_particle_number)
 
     def to_json_dict(self) -> dict:
         return {
@@ -404,17 +415,22 @@ def bose_geometric_sum(
     )
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(Record):
     """Agreement between the ensemble Xi and the Fock-character routes."""
 
-    system: LevelSystem
-    character_values: Tuple[float, ...]
-    series_values: Tuple[float, ...]
-    ensemble_values: Tuple[float, ...]
-    max_relative_deviation: float
-    tolerance: float
-    ok: bool
+    __slots__ = __match_args__ = ("system", "character_values", "series_values",
+                                  "ensemble_values", "max_relative_deviation", "tolerance", "ok")
+
+    def __init__(self, system: LevelSystem, character_values: Tuple[float, ...],
+                 series_values: Tuple[float, ...], ensemble_values: Tuple[float, ...],
+                 max_relative_deviation: float, tolerance: float, ok: bool):
+        store(self, "system", system)
+        store(self, "character_values", character_values)
+        store(self, "series_values", series_values)
+        store(self, "ensemble_values", ensemble_values)
+        store(self, "max_relative_deviation", max_relative_deviation)
+        store(self, "tolerance", tolerance)
+        store(self, "ok", ok)
 
     def to_json_dict(self) -> dict:
         return {

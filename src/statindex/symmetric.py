@@ -20,12 +20,12 @@ squares.  Two routes lead from root data to a class polynomial:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ._record import Record, store
 from .series import (
     Exponents,
     TruncatedSeries,
@@ -57,30 +57,31 @@ class NotSymmetricError(ValueError):
         self.transposition = transposition
 
 
-@dataclass(frozen=True)
-class ChernPolynomial:
+class ChernPolynomial(Record):
     """Polynomial in c_1..c_n (basis 'chern') or p_1..p_n (basis 'pontryagin').
 
     Exponent tuples index the generators in order; generator k+1 carries
     root-degree k+1 in the Chern basis and 2(k+1) in the Pontryagin basis.
+    Equality and the hash ignore the truncation.
     """
 
-    basis: str
-    rank: int
-    truncation: int
-    terms: Mapping[Exponents, Fraction] = field(default_factory=dict)
+    __slots__ = __match_args__ = ("basis", "rank", "truncation", "terms")
 
-    def __post_init__(self):
-        if self.basis not in (CHERN, PONTRYAGIN):
-            raise ValueError(f"unknown basis {self.basis!r}")
+    def __init__(self, basis: str, rank: int, truncation: int,
+                 terms: Optional[Mapping[Exponents, Fraction]] = None):
+        if basis not in (CHERN, PONTRYAGIN):
+            raise ValueError(f"unknown basis {basis!r}")
         clean = {}
-        for exps, coeff in self.terms.items():
+        for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
-            if len(exps) != self.rank:
+            if len(exps) != rank:
                 raise ValueError(f"exponent tuple {exps} has wrong arity")
             if coeff:
                 clean[exps] = Fraction(coeff)
-        object.__setattr__(self, "terms", clean)
+        store(self, "basis", basis)
+        store(self, "rank", rank)
+        store(self, "truncation", truncation)
+        store(self, "terms", clean)
 
     def generator_weight(self, index: int) -> int:
         """Root-degree carried by generator number index (1-based)."""
@@ -96,14 +97,10 @@ class ChernPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChernPolynomial):
-            return NotImplemented
-        return (
-            self.basis == other.basis
-            and self.rank == other.rank
-            and dict(self.terms) == dict(other.terms)
-        )
+    _key = staticmethod(lambda poly: (poly.basis, poly.rank, poly.terms))
+
+    def __hash__(self) -> int:
+        return hash((self.basis, self.rank, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
         return poly_str(self)

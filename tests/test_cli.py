@@ -331,6 +331,10 @@ def test_inputs_without_a_meaningful_answer_exit_2(capsys, argv):
         ("stats", {"levels": [1.0], "beta": False, "statistics": "FD"}, "beta must be a number"),
         ("stats", {"levels": [1.0], "kB": True, "statistics": "FD"}, "kB must be a number"),
         ("stats", {"levels": [1.0], "mu": "x", "statistics": "FD"}, "mu must be a number"),
+        ("stats", {"levels": [True, 2.0], "statistics": "FD"}, "levels must be numbers; item 0 is True"),
+        ("stats", {"levels": [1, "2"], "statistics": "FD"}, "levels must be numbers; item 1 is '2'"),
+        ("spectral", {"form": "finite", "eigenvalues": ["1"]}, "eigenvalues must be numbers; item 0 is '1'"),
+        ("spectral", {"form": "finite", "eigenvalues": [2.0, False]}, "eigenvalues must be numbers; item 1 is False"),
     ],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, command, payload, named):

@@ -190,6 +190,17 @@ def test_level_system_validation():
         LevelSystem(levels=(1.0,), mu=0.0, beta=1.0, statistics="XX")
 
 
+def test_level_system_reads_numbers_but_not_booleans_or_strings():
+    levels = (0.5, 1.5)
+    assert LevelSystem(levels, 0.0, 1.0, "FD").levels is levels  # floats pass unconverted
+    for given in ([1, 2.5], (x for x in (1, 2.5))):
+        converted = LevelSystem(given, 0.0, 1.0, "FD").levels
+        assert converted == (1.0, 2.5) and type(converted[0]) is float
+    for bad, named in (([1.0, True], "item 1 is True"), (["1"], "item 0 is '1'")):
+        with pytest.raises(ValueError, match=f"^levels must be numbers; {named}$"):
+            LevelSystem(bad, 0.0, 1.0, "FD")
+
+
 def test_correspondence_reuses_the_given_ensemble():
     system = LevelSystem(levels=(0.5, 1.5, 4.0), mu=-0.2, beta=1.3, statistics="BE")
     ensemble = grand_ensemble(system)
