@@ -21,18 +21,19 @@ principle evaluates such a product one factor at a time
 (``multiplicative_class``, ``multiplicative_integral``): cp^n contributes
 (s u(0))^n [u(h)/u(0)]^{n+1} when m = 0, (s u(0))^n (n+1) h^n when m = 1
 and 0 when m >= 2; a torus contributes (s u(0))^dim when m = 0 and 0
-otherwise; and a Whitney sum multiplies the classes.  No class polynomial
-is built.  The class-polynomial route, ``evaluate_chern_polynomial`` on
-the tangent Chern classes, is kept as the oracle tests compare the
-splitting route with.
+otherwise; and a Whitney sum multiplies the classes, each built once per
+process.  No class polynomial is built.  The class-polynomial route,
+``evaluate_chern_polynomial`` on the tangent Chern classes, is kept as the
+oracle tests compare the splitting route with.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ._record import Record, store
 from .series import Exponents, TruncatedSeries
@@ -94,9 +95,9 @@ class CohomologyModel(Record):
     def reduce(self, element: TruncatedSeries) -> TruncatedSeries:
         """Drop terms killed by a nilpotency relation.
 
-        Only ``index hrr`` (``pairings.hrr_index``) and the class-polynomial
-        oracle (``evaluate_chern_polynomial``) call ``reduce`` and
-        ``multiply``; no model builder multiplies ring elements."""
+        Oracle only: ``reduce`` and ``multiply`` serve the class-polynomial
+        substitution (``evaluate_chern_polynomial``) and the ch(E) * Td route
+        tests check ``index hrr`` with; no request multiplies ring elements."""
         terms = {
             exps: coeff
             for exps, coeff in element.terms.items()
@@ -105,7 +106,7 @@ class CohomologyModel(Record):
         return TruncatedSeries(self.generators, self.complex_dim, terms)
 
     def multiply(self, a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-        """Ring product; called only by ``index hrr`` and the oracle."""
+        """Ring product; oracle only, as ``reduce``."""
         return self.reduce(a * b)
 
     def integrate(self, element: TruncatedSeries) -> Fraction:
@@ -202,12 +203,14 @@ def product(
     return _build(a[0].factors + b[0].factors)
 
 
+@lru_cache(maxsize=256)
 def catalog(name: str) -> Tuple[CohomologyModel, TangentData]:
     """Resolve a catalog name: ``cp2``, ``torus1``, or products like ``cp1xcp1``.
 
     The product grammar is name ("x" name)*; parsing is greedy on the
     literal separator ``x``, which is unambiguous because factor names
-    never contain it.
+    never contain it.  Built once per process per name (the records are
+    immutable); a CatalogError is raised afresh on every call.
     """
     text = name.strip().lower()
     if not text:
@@ -269,22 +272,35 @@ def evaluate_chern_polynomial(
     return model.reduce(out)
 
 
-def _unit_power(v: Sequence[Fraction], a: int, n: int) -> List[Fraction]:
-    """Coefficients of h^0..h^n of v(h)^a for a series with v(0) = 1, by
-    J. C. P. Miller's recurrence k w_k = sum_{j=1}^{k} ((a+1) j - k) v_j w_{k-j}."""
+@lru_cache(maxsize=1024)
+def _factor_class(
+    factor: TruncatedSeries, scalar: Fraction, kind: str, n: int
+) -> Optional[Tuple[Fraction, ...]]:
+    """The coefficients of h^0..h^n of the class of prod_i s f(x_i) on one
+    catalog factor (a torus: the constant alone), or None when it vanishes;
+    built once per process for each key.  With m = 0, w = (u/u(0))^(n+1)
+    follows J. C. P. Miller's recurrence for v^a, v(0) = 1:
+    k w_k = sum_{j=1}^{k} ((a+1) j - k) v_j w_{k-j}."""
+    coeffs = [factor.coefficient((k,)) for k in range(n + 1)]
+    m = next((k for k, c in enumerate(coeffs) if c), None)
+    if m is None or m >= 2 or (m == 1 and kind == "torus"):
+        return None
+    base = scalar * coeffs[m]  # s u(0)
+    if kind == "torus":
+        return (base ** n,)
+    if m == 1:
+        return (Fraction(0),) * n + (base ** n * (n + 1),)
+    v = [c / coeffs[0] for c in coeffs]
     w = [Fraction(1)]
     for k in range(1, n + 1):
-        acc = sum(
-            (((a + 1) * j - k) * v[j] * w[k - j] for j in range(1, k + 1) if v[j]),
-            Fraction(0),
-        )
-        w.append(acc / k)
-    return w
+        terms = (((n + 2) * j - k) * v[j] * w[k - j] for j in range(1, k + 1) if v[j])
+        w.append(sum(terms, Fraction(0)) / k)
+    return tuple(base ** n * c for c in w)
 
 
 def _factor_classes(
     model: CohomologyModel, factor: TruncatedSeries, scalar: Fraction
-) -> Optional[List[List[Fraction]]]:
+) -> Optional[List[Tuple[Fraction, ...]]]:
     """Per catalog factor, the coefficients of h^0..h^n of its class of
     prod_i s f(x_i) (a torus: the constant alone), or None when the class
     vanishes."""
@@ -298,27 +314,8 @@ def _factor_classes(
             f"per-root factor known through degree {factor.truncation}, "
             f"a factor cp{need} needs {need}"
         )
-    coeffs = [factor.coefficient((k,)) for k in range(factor.truncation + 1)]
-    m = next((k for k, c in enumerate(coeffs) if c), None)
-    if m is None or m >= 2:
-        return None
-    base = scalar * coeffs[m]  # s u(0)
-    if m == 1:
-        if any(kind == "torus" for kind, _ in model.factors):
-            return None
-        return [[Fraction(0)] * n + [base ** n * (n + 1)] for _, n in model.factors]
-    v = [c / coeffs[0] for c in coeffs]
-    powers: Dict[int, List[Fraction]] = {}
-    out = []
-    for kind, n in model.factors:
-        if kind == "torus":
-            out.append([base ** n])
-            continue
-        if n not in powers:
-            powers[n] = _unit_power(v, n + 1, n)
-        scale = base ** n
-        out.append([scale * c for c in powers[n]])
-    return out
+    classes = [_factor_class(factor, scalar, kind, n) for kind, n in model.factors]
+    return None if None in classes else classes
 
 
 def multiplicative_class(

@@ -26,9 +26,9 @@ series, and ``to_series`` is the scalar times the product of the lowered
 factors, each renamed to its root.  Every root of a canonical density
 carries the same factor x^m u(x), so ``pairing_index`` integrates it by the
 splitting principle over the manifold's catalog factors
-(``manifolds.multiplicative_integral``).  The density's Chern-basis
-polynomial, the multiplicative sequence of that one-root factor
-(``symmetric.multiplicative_sequence``), is built only when
+(``manifolds.multiplicative_integral``), as ``hrr_index`` does ch(E) Td.
+The density's Chern-basis polynomial, the multiplicative sequence of that
+one-root factor (``symmetric.multiplicative_sequence``), is built only when
 ``IndexReport.density`` is read; the l-root lowering reduced by
 ``symmetric.to_chern_basis`` is the oracle tests compare it with.
 
@@ -43,19 +43,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import exp as _fexp
+from math import exp as _fexp, factorial
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ._record import Record, store
 from .series import TruncatedSeries, format_rational
 from .symmetric import CHERN, ChernPolynomial, multiplicative_sequence
 from .genera import euler_class_roots, generating_series, root_variables
-from .bundles import RootModel, chern_character
+from .bundles import RootModel
 from .manifolds import (
     CohomologyModel,
     TangentData,
+    _factor_classes,
     catalog,
-    genus_class,
     multiplicative_integral,
 )
 
@@ -418,18 +418,21 @@ def hrr_index(
     """Holomorphic Euler characteristic: integral of ch(E) * Td(TM).
 
     ``bundle`` is a RootModel over the manifold's generators; None means
-    the trivial line bundle, so the result is the Todd genus.  The Todd
-    class is ``manifolds.genus_class``, built by the splitting principle.
-    A truncation D below the complex dimension raises ValueError, as in
+    the trivial line bundle, so the result is the Todd genus.  A root
+    sum_j k_j h_j of multiplicity m contributes, one catalog factor at a
+    time, m prod_j sum_{i <= n_j} k_j^i / i! td_j[n_j - i], td_j the Todd
+    class of the cp^{n_j} factor (0 when a torus factor is present).  A
+    truncation D below the complex dimension raises ValueError, as in
     ``pairing_index``; None skips the check.
     """
-    model, tangent = _resolve(manifold)
+    model, _ = _resolve(manifold)
     l = model.complex_dim
     if D is not None:
         _check_truncation(D, l)
-    todd = genus_class("todd", model, tangent)
+    todd = generating_series("todd", l)
     if bundle is None:
-        return model.integrate(todd)
+        return multiplicative_integral(model, todd)
+    classes = _factor_classes(model, todd, Fraction(1))
     if tuple(bundle.variables) != model.generators:
         raise ValueError(
             f"bundle roots use generators {bundle.variables}, "
@@ -440,8 +443,16 @@ def hrr_index(
             f"bundle truncation {bundle.truncation} is below the model's "
             f"complex dimension {l}"
         )
-    ch = model.reduce(chern_character(bundle).truncate(l))
-    return model.integrate(model.multiply(ch, todd))
+    if classes is None or model.top_exponents is None:
+        return Fraction(0)
+    total = Fraction(0)
+    for root, mult in bundle.roots:
+        value = Fraction(mult)
+        for j, td in enumerate(classes):
+            k = root.coefficient(tuple(int(i == j) for i in range(len(model.generators))))
+            value *= sum(k ** i / factorial(i) * td[-1 - i] for i in range(len(td)))
+        total += value
+    return total * model.top_integral
 
 
 # -- dual-route verification -----------------------------------------------------

@@ -334,6 +334,11 @@ class SpectralPairReport(Record):
         store(self, "euler_class", euler_class)
         store(self, "pairings", pairings)
 
+    def __hash__(self) -> int:  # through a frozen view of the dict of dicts
+        pairings = None if self.pairings is None else frozenset(
+            (kind, frozenset(modes.items())) for kind, modes in self.pairings.items())
+        return hash(self._key(self)[:-1] + (pairings,))
+
     def to_json_dict(self) -> dict:
         return {
             "spectrum": self.spec.to_json_dict(),

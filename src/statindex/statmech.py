@@ -70,8 +70,8 @@ def _require_keys(data, keys, what: str) -> None:
 
 
 def _to_float(value, what: str) -> float:
-    """A scalar field as a float; a JSON boolean is not a number here."""
-    if not isinstance(value, bool):
+    """A scalar field as a float; a JSON boolean or string is not a number here."""
+    if not isinstance(value, (bool, str)):
         try:
             return float(value)
         except (TypeError, ValueError):

@@ -5,16 +5,16 @@ and Pontryagin classes are the elementary symmetric polynomials of their
 squares.  Two routes lead from root data to a class polynomial:
 
 * ``multiplicative_sequence`` handles the products over the roots of one
-  per-root factor, which is what every genus and pairing density is.  It
-  works in class space from the factor's one-variable logarithm, power
-  sums and Newton's identities, and never builds the n-root series.
+  per-root factor, which is what every genus and pairing density is.  By
+  the dual Cauchy identity (Macdonald, *Symmetric Functions and Hall
+  Polynomials*, I.4) each coefficient is one monomial symmetric function of
+  the factor's formal roots, found from their power sums; the n-root series
+  is never built.
 * ``to_chern_basis`` / ``to_pontryagin_basis`` reduce any symmetric root
   series by the classical leading-term algorithm: take the graded-lex
-  leading exponent a_1 >= a_2 >= ... >= a_n of a homogeneous symmetric
-  polynomial, subtract the matching product e_1^(a_1-a_2) e_2^(a_2-a_3)
-  ... e_n^(a_n), and repeat.  Every elementary symmetric polynomial is
-  homogeneous, so the loop can run independently on each homogeneous
-  component and never interacts with the truncation.  Tests use this route
+  leading exponent a_1 >= ... >= a_n of a homogeneous symmetric polynomial,
+  subtract e_1^(a_1-a_2) e_2^(a_2-a_3) ... e_n^(a_n) times its coefficient,
+  and repeat, one homogeneous component at a time.  Tests use this route
   as the oracle for the first.
 """
 
@@ -22,17 +22,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import factorial, gcd, lcm, prod
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._record import Record, store
-from .series import (
-    Exponents,
-    TruncatedSeries,
-    format_rational,
-    glex_key,
-    parse_rational,
-)
+from .series import Exponents, TruncatedSeries, format_rational, glex_key, parse_rational
 
 __all__ = [
     "ChernPolynomial",
@@ -203,22 +197,7 @@ def elementary_symmetric(
         for idx in combo:
             exps[idx] = step
         terms[tuple(exps)] = Fraction(1)
-    if k == 0:
-        terms = {(0,) * n: Fraction(1)}
     return TruncatedSeries(variables, truncation, terms)
-
-
-def _dict_mul(a: Dict[Exponents, Fraction], b: Dict[Exponents, Fraction]) -> Dict[Exponents, Fraction]:
-    out: Dict[Exponents, Fraction] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            exps = tuple(x + y for x, y in zip(ea, eb))
-            acc = out.get(exps, Fraction(0)) + ca * cb
-            if acc:
-                out[exps] = acc
-            else:
-                out.pop(exps, None)
-    return out
 
 
 def _reduce_to_elementary(
@@ -230,10 +209,8 @@ def _reduce_to_elementary(
     halved before comparison with e_k(x_i^2) expansions.
     """
     n = len(variables)
-    e_cache = {
-        k: elementary_symmetric(variables, k * step, k, squared=step == 2).terms
-        for k in range(1, n + 1)
-    }
+    degree = sum(next(iter(component)))
+    e_cache = {k: elementary_symmetric(variables, degree, k, step == 2) for k in range(1, n + 1)}
     work = dict(component)
     out: Dict[Exponents, Fraction] = {}
     while work:
@@ -248,11 +225,10 @@ def _reduce_to_elementary(
         )
         coeff = work[lead]
         out[multi] = out.get(multi, Fraction(0)) + coeff
-        expansion: Dict[Exponents, Fraction] = {(0,) * n: Fraction(1)}
+        expansion = TruncatedSeries.constant(variables, degree, 1)
         for k, m in enumerate(multi, start=1):
-            for _ in range(m):
-                expansion = _dict_mul(expansion, e_cache[k])
-        for exps, c in expansion.items():
+            expansion = expansion * e_cache[k] ** m
+        for exps, c in expansion.terms.items():
             acc = work.get(exps, Fraction(0)) - coeff * c
             if acc:
                 work[exps] = acc
@@ -308,22 +284,31 @@ def to_pontryagin_basis(series: TruncatedSeries, l: int) -> ChernPolynomial:
     return _to_basis(series, l, PONTRYAGIN)
 
 
+def _partitions(top: int, largest: int):
+    """Partitions with parts <= largest and size <= top, parts descending."""
+    yield ()
+    for first in range(min(top, largest), 0, -1):
+        for rest in _partitions(top - first, first):
+            yield (first,) + rest
+
+
 def multiplicative_sequence(
     factor: TruncatedSeries, n_roots: int, truncation: int, basis: str = CHERN
 ) -> ChernPolynomial:
     """Class polynomial of prod_{i=1..n} f(x_i), truncated at weighted degree D.
 
-    ``factor`` is the per-root factor f(x) = x^m u(x), u(0) != 0, as a
-    one-variable series known through degree ``truncation``.  With
-    log(u/u(0)) = sum_k L_k x^k and the power sums s_k = sum_i x_i^k,
+    ``factor`` is the per-root factor f(x) = x^m u(x), u(0) != 0, known
+    through degree ``truncation``.  With u(t)/u(0) = prod_j (1 + y_j t)
+    formally, the dual Cauchy identity gives
 
-        prod_i f(x_i) = u(0)^n * c_n^m * exp(sum_k L_k s_k),
+        prod_i f(x_i) = u(0)^n * c_n^m * sum_lambda m_lambda(y) c^lambda
 
-    where Newton's identities write each s_k in c_1..c_n and the exponential
-    is taken degree by degree.  The n-root series is never built.  The
-    product is empty when m*n > D.  With the Pontryagin basis f must be
-    even, f(x) = g(x^2), and the same construction runs in y = x^2, whose
-    elementary symmetric polynomials p_k carry weighted degree 2k.
+    over the partitions lambda with parts <= n, c^lambda = prod_k c_{lambda_k}.
+    The augmented monomials m~_lambda = m_lambda * prod_i mult_i! follow from
+    m~(lambda + {r}) = P_r m~(lambda) - sum_j m~(lambda with lambda_j + r),
+    whose bumped parts may exceed n.  The product is empty when m*n > D.
+    With the Pontryagin basis f must be even, f(x) = g(x^2), and the same
+    construction runs in y = x^2, where p_k carries weighted degree 2k.
     """
     if basis not in (CHERN, PONTRYAGIN):
         raise ValueError(f"unknown basis {basis!r}")
@@ -349,44 +334,45 @@ def multiplicative_sequence(
         return ChernPolynomial(basis, n, truncation)
     top = len(coeffs) - 1 - m * n  # degree still free for u's contribution
     u = coeffs[m : m + top + 1]
-    # log(u/u(0)) from (log v)' = v'/v with v = u/u(0):
-    # k L_k = k v_k - sum_{j<k} j L_j v_{k-j}
+    # the power sums P_k = (-1)^(k-1) k L_k of the y_j, from the logarithm
+    # sum_k L_k t^k of v = u/u(0): k L_k = k v_k - sum_{j<k} j L_j v_{k-j}
     v = [c / u[0] for c in u]
-    logs = [Fraction(0)] * (top + 1)
+    kl = [Fraction(0)] * (top + 1)
     for k in range(1, top + 1):
-        acc = k * v[k] - sum(j * logs[j] * v[k - j] for j in range(1, k))
-        logs[k] = acc / k
-    # Newton: s_k = sum_{j=1}^{k-1} (-1)^{j-1} c_j s_{k-j} + (-1)^{k-1} k c_k
-    zero = (0,) * n
-    power_sums: List[Dict[Exponents, Fraction]] = [{zero: Fraction(n)}]  # s_0 = n
-    for k in range(1, top + 1):
-        pk: Dict[Exponents, Fraction] = {}
-        for j in range(1, min(k, n + 1)):
-            sign = 1 if j % 2 else -1
-            for exps, coeff in power_sums[k - j].items():
-                shifted = exps[: j - 1] + (exps[j - 1] + 1,) + exps[j:]
-                pk[shifted] = pk.get(shifted, Fraction(0)) + sign * coeff
-        if k <= n:
-            ck = zero[: k - 1] + (1,) + zero[k:]
-            pk[ck] = pk.get(ck, Fraction(0)) + (k if k % 2 else -k)
-        power_sums.append({e: c for e, c in pk.items() if c})
-    # graded exponential of S = sum_k L_k s_k: d E_d = sum_k k S_k E_{d-k}
-    parts: List[Dict[Exponents, Fraction]] = [{zero: u[0] ** n}]
-    for d in range(1, top + 1):
-        acc_d: Dict[Exponents, Fraction] = {}
-        for k in range(1, d + 1):
-            if not logs[k]:
-                continue
-            for es, cs in power_sums[k].items():
-                weight = k * logs[k] * cs
-                for ee, ce in parts[d - k].items():
-                    exps = tuple(a + b for a, b in zip(es, ee))
-                    acc_d[exps] = acc_d.get(exps, Fraction(0)) + weight * ce
-        parts.append({e: c / d for e, c in acc_d.items() if c})
+        kl[k] = k * v[k] - sum(kl[j] * v[k - j] for j in range(1, k))
+    # P_k = num[k] / den[k]; every m~ of weight s is an integer over the
+    # common denominator dens[s] of all products P_{k_1} ... P_{k_j}, sum k_i = s
+    num = [p.numerator if k % 2 else -p.numerator for k, p in enumerate(kl)]
+    den = [p.denominator for p in kl]
+    dens = [1]
+    for s in range(1, top + 1):
+        dens.append(lcm(*(den[r] * dens[s - r] for r in range(1, s + 1))))
+    augmented: Dict[Tuple[int, ...], int] = {(): 1}
+
+    def monomial(parts: Tuple[int, ...], weight: int) -> int:
+        """dens[weight] * m~ of a partition (parts descending) by its last part."""
+        value = augmented.get(parts)
+        if value is None:
+            *rest, r = parts
+            lift = dens[weight] // (den[r] * dens[weight - r])
+            value = num[r] * lift * monomial(tuple(rest), weight - r)
+            for j, part in enumerate(rest):
+                if j and part == rest[j - 1]:
+                    continue  # the equal parts bump to one partition
+                bumped = sorted(rest[:j] + rest[j + 1 :] + [part + r], reverse=True)
+                value -= rest.count(part) * monomial(tuple(bumped), weight)
+            augmented[parts] = value
+        return value
+
+    scale = u[0] ** n
     terms: Dict[Exponents, Fraction] = {}
-    for part in parts:
-        for exps, coeff in part.items():
-            terms[exps[:-1] + (exps[-1] + m,)] = coeff
+    for parts in _partitions(top, n):
+        mults = [0] * n
+        for part in parts:
+            mults[part - 1] += 1
+        weight = sum(parts)
+        coeff = Fraction(monomial(parts, weight), dens[weight] * prod(map(factorial, mults)))
+        terms[(*mults[:-1], mults[-1] + m)] = scale * coeff
     return ChernPolynomial(basis, n, truncation, terms)
 
 

@@ -335,6 +335,8 @@ def test_inputs_without_a_meaningful_answer_exit_2(capsys, argv):
         ("stats", {"levels": [1, "2"], "statistics": "FD"}, "levels must be numbers; item 1 is '2'"),
         ("spectral", {"form": "finite", "eigenvalues": ["1"]}, "eigenvalues must be numbers; item 0 is '1'"),
         ("spectral", {"form": "finite", "eigenvalues": [2.0, False]}, "eigenvalues must be numbers; item 1 is False"),
+        ("stats", {"levels": [1.0, 2.0], "mu": "0.5", "beta": 1, "statistics": "FD"}, "mu must be a number, got '0.5'"),
+        ("spectral", {"form": "affine", "a": "1", "c": 0.5}, "a must be a number, got '1'"),
     ],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, command, payload, named):
@@ -343,6 +345,16 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, command, payload, named)
     code, out, err = run(capsys, command, str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and named in err
+
+
+def test_zeta_det_input_reads_numbers_but_not_numeric_strings(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"form": "affine", "a": "1", "c": "0.5"}))
+    code, out, err = run(capsys, "zeta-det", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: a must be a number, got '1'\n"
+    path.write_text(json.dumps({"form": "affine", "a": 1, "c": 1}))  # JSON ints are numbers
+    assert run(capsys, "zeta-det", "--input", str(path)) == run(capsys, "zeta-det", "--affine", "1", "1")
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from statindex.genera import GenusSpec, generating_series
 from statindex.manifolds import CohomologyModel, TangentData
 from statindex.pairings import IndexReport, VerifyReport, _RootFactor, pairing_index
 from statindex.series import TruncatedSeries
-from statindex.spectral import SpectralPairReport, SpectrumSpec
+from statindex.spectral import SpectralPairReport, SpectrumSpec, build_spectral_report
 from statindex.statmech import CorrespondenceReport, EnsembleReport, LevelSystem
 from statindex.symmetric import ChernPolynomial
 
@@ -156,6 +156,22 @@ def test_chern_polynomial_hash_agrees_with_equality():
     assert low == high and hash(low) == hash(high)
     assert len({low, high}) == 1 and high in {low}
     assert ChernPolynomial("pontryagin", 1, 2, {(1,): 1}) not in {low}
+
+
+def test_spectral_report_hash_agrees_with_equality():
+    spec = SpectrumSpec.finite([1.0, 2.0])
+    report, again = build_spectral_report(spec), build_spectral_report(spec)
+    assert report == again and hash(report) == hash(again)
+    assert len({report, again}) == 1 and again in {report}
+    assert build_spectral_report(SpectrumSpec.finite([1.0, 3.0])) not in {report}
+    # the pairings in another key order are equal, and hash equal
+    fields = [getattr(report, name) for name in SpectralPairReport.__match_args__[:-1]]
+    reordered = {kind: dict(reversed(modes.items()))
+                 for kind, modes in reversed(report.pairings.items())}
+    assert SpectralPairReport(*fields, reordered) in {report}
+    affine = build_spectral_report(SpectrumSpec.affine(1.0, 0.5))
+    assert affine.pairings is None
+    assert hash(affine) == hash(build_spectral_report(SpectrumSpec.affine(1.0, 0.5)))
 
 
 def test_index_report_density_is_built_once(monkeypatch):
