@@ -6,6 +6,11 @@ summands.  The symmetric Fock construction has infinite rank, so its
 character is returned as a pair (monomial denominator, unit series) rather
 than a naive divergent sum: per root a*x the factor 1/(1 - e^{a x}) equals
 x^{-1} times the unit series ((1 - e^{a x})/x)^{-1}.
+
+The characters over generic roots x1..xl (``spinor_character``,
+``lambda_minus1_dual``) are the root product (``series.root_product``) of
+one one-variable block; at l = 1 they are the per-root characters of the
+brute-force route of ``pairings.verify_identity``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, NamedTuple, Sequence, Tuple
 
 from ._record import Record, store
-from .series import Exponents, TruncatedSeries, format_rational, parse_rational
+from .series import Exponents, TruncatedSeries, format_rational, parse_rational, root_product
 
 __all__ = [
     "DivergenceError",
@@ -209,12 +214,8 @@ def spinor_character(l: int, D: int) -> TruncatedSeries:
     """prod_{i=1..l} (e^{x_i/2} + e^{-x_i/2}) over generic roots x1..xl."""
     if l < 0:
         raise ValueError("need l >= 0")
-    variables = tuple(f"x{k}" for k in range(1, l + 1))
-    out = TruncatedSeries.constant(variables, D, 1)
-    for name in variables:
-        half = TruncatedSeries.variable(variables, D, name) * Fraction(1, 2)
-        out = out * (half.exp() + (-half).exp())
-    return out
+    half = TruncatedSeries.variable(("x",), D, "x") * Fraction(1, 2)
+    return root_product([half.exp() + (-half).exp()] * l, D)
 
 
 def lambda_minus1_dual(l: int, paired: bool, D: int) -> TruncatedSeries:
@@ -222,15 +223,12 @@ def lambda_minus1_dual(l: int, paired: bool, D: int) -> TruncatedSeries:
     prod (1 - e^{x_i}) for the paired-root convention."""
     if l < 0:
         raise ValueError("need l >= 0")
-    variables = tuple(f"x{k}" for k in range(1, l + 1))
-    out = TruncatedSeries.constant(variables, D, 1)
-    one = out
-    for name in variables:
-        x = TruncatedSeries.variable(variables, D, name)
-        out = out * (one - (-x).exp())
-        if paired:
-            out = out * (one - x.exp())
-    return out
+    one = TruncatedSeries.constant(("x",), D, 1)
+    x = TruncatedSeries.variable(("x",), D, "x")
+    block = one - (-x).exp()
+    if paired:
+        block = block * (one - x.exp())
+    return root_product([block] * l, D)
 
 
 def fock_character_value(statistics: str, y: float) -> float:

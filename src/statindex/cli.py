@@ -304,6 +304,8 @@ def _parse_bundle(spec: str, model) -> RootModel:
             f"bundle {spec!r} has {len(coeffs)} twist(s), manifold "
             f"{model.name} has {len(model.generators)} generator(s)"
         )
+    if any(c.denominator != 1 for c in coeffs):
+        raise _CliError(f"bundle {spec!r} has a twist that is not an integer")
     root = dict(zip(model.generators, coeffs))
     return RootModel.build(model.generators, model.complex_dim, [(root, 1)])
 
@@ -398,32 +400,30 @@ def _cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
     with open(args.input, "r", encoding="utf-8") as handle:
         system = LevelSystem.from_json_dict(json.load(handle))
     report = grand_ensemble(system)
-    if config.fmt == "json":
-        payload = report.to_json_dict()
-        if args.check_correspondence:
-            payload["correspondence"] = correspondence_check(
-                system, tol=config.tolerance, ensemble=report
-            ).to_json_dict()
-        _emit_json(payload)
-    elif config.fmt == "csv":
+    if config.fmt == "csv":
         sys.stdout.write(report.csv_text())
-    else:
+    elif config.fmt == "text":
         print(f"statistics        {system.statistics}")
         print(f"levels            {len(system.levels)}")
         print(f"ln Xi             {_fmt_float(report.log_xi)}")
         print(f"Xi                {_fmt_float(report.xi)}")
         print(f"Omega             {_fmt_float(report.omega)}")
         print(f"mean N            {_fmt_float(report.mean_particle_number)}")
-    if args.check_correspondence and config.fmt != "json":
+    check = None
+    if args.check_correspondence:
         check = correspondence_check(system, tol=config.tolerance, ensemble=report)
+    if config.fmt == "json":
+        payload = report.to_json_dict()
+        if check is not None:
+            payload["correspondence"] = check.to_json_dict()
+        _emit_json(payload)
+    elif check is not None:
         status = "PASS" if check.ok else "FAIL"
         print(
             f"correspondence    {status} "
             f"(max deviation {_fmt_float(check.max_relative_deviation)})"
         )
-        if not check.ok:
-            return 1
-    return 0
+    return 0 if check is None or check.ok else 1
 
 
 def _cmd_zeta_det(args: argparse.Namespace, config: RunConfig) -> int:

@@ -19,22 +19,22 @@ made from it.  Class polynomials (``genus_class_polynomial``,
 ``genus_polynomial``) are built in class space by
 ``symmetric.multiplicative_sequence``, one coefficient per partition by
 the dual Cauchy identity; they are computed afresh on every call.  The
-n-root product ``genus_series`` is the product of renamed copies of the
-same series; it stays as the route tests reduce with ``to_chern_basis`` /
-``to_pontryagin_basis`` to check them.  The
-brute-force route of ``pairings.verify_identity`` reaches A-hat and B-hat
-through ``generating_series``, these literal formulas, rather than through
-the factored algebra of the pairings module.
+n-root product ``genus_series`` is ``series.root_product`` of n copies of
+the same series; it stays as the route tests reduce with
+``to_chern_basis`` / ``to_pontryagin_basis`` to check them.  The
+brute-force route of ``pairings.verify_identity`` takes every genus
+factor it needs (A-hat, B-hat, Todd, Td*) from ``generating_series``,
+these literal formulas, rather than from the factored algebra of the
+pairings module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple
 
 from ._record import Record, store
-from .series import TruncatedSeries
+from .series import TruncatedSeries, root_product, root_variables
 from .symmetric import CHERN, PONTRYAGIN, ChernPolynomial, multiplicative_sequence
 
 __all__ = [
@@ -60,10 +60,6 @@ class GenusSpec(Record):
         store(self, "kind", kind)
         store(self, "generating_series", generating_series)
         store(self, "normalized", normalized)
-
-
-def root_variables(n: int) -> Tuple[str, ...]:
-    return tuple(f"x{k}" for k in range(1, n + 1))
 
 
 def _check_kind(kind: str) -> None:
@@ -113,7 +109,7 @@ def genus_spec(kind: str, D: int = 8) -> GenusSpec:
 
 def genus_series(kind: str, n_roots: int, D: int) -> TruncatedSeries:
     """Product over x1..xn of the one-variable factor ``generating_series``,
-    each copy renamed to its root, truncated at total degree D."""
+    truncated at total degree D."""
     _check_kind(kind)
     if n_roots < 1:
         raise ValueError("need at least one root")
@@ -123,12 +119,7 @@ def genus_series(kind: str, n_roots: int, D: int) -> TruncatedSeries:
         raise ValueError(
             f"euler class of {n_roots} roots has degree {n_roots} > truncation {D}"
         )
-    variables = root_variables(n_roots)
-    factor = generating_series(kind, D)
-    out = TruncatedSeries.constant(variables, D, 1)
-    for name in variables:
-        out = out * factor.rename({"x": name}).embed(variables, D)
-    return out
+    return root_product([generating_series(kind, D)] * n_roots, D)
 
 
 def euler_class_roots(l: int, D: int) -> TruncatedSeries:

@@ -22,10 +22,10 @@ factors; applying it to an unfactored series would be meaningless.
 Each root's canonical factor is lowered to a one-variable series by one
 builder (``_lower_root``, memoised per process by the factor's exponents
 and the truncation): ``FactorExpression.root_factor`` returns that
-series, and ``to_series`` is the scalar times the product of the lowered
-factors, each renamed to its root.  Every root of a canonical density
-carries the same factor x^m u(x), so ``pairing_index`` integrates it by the
-splitting principle over the manifold's catalog factors
+series, and ``to_series`` is the scalar times the root product of the
+lowered factors (``series.root_product``).  Every root of a canonical
+density carries the same factor x^m u(x), so ``pairing_index`` integrates
+it by the splitting principle over the manifold's catalog factors
 (``manifolds.multiplicative_integral``), as ``hrr_index`` does ch(E) Td.
 The density's Chern-basis polynomial, the multiplicative sequence of that
 one-root factor (``symmetric.multiplicative_sequence``), is built only when
@@ -36,7 +36,10 @@ bb and bf use the paired-root convention for the complexified tangent
 bundle (roots +-x_i, i = 1..l), with the parity prefactor (-1)^{l(2l+1)}
 = (-1)^l on bb, a sign per root; the literal single-root products over
 m = 2l independent roots are exercised by verify_identity as a separate
-route.
+route.  Its brute-force route never touches the factored algebra: each
+root's block is one root's character from ``bundles`` times the genus
+factors of ``genera.generating_series``, and the density is the root
+product of copies of that block.
 """
 
 from __future__ import annotations
@@ -47,10 +50,10 @@ from math import exp as _fexp, factorial
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ._record import Record, store
-from .series import TruncatedSeries, format_rational
+from .series import TruncatedSeries, format_rational, root_product, root_variables
 from .symmetric import CHERN, ChernPolynomial, multiplicative_sequence
-from .genera import euler_class_roots, generating_series, root_variables
-from .bundles import RootModel
+from .genera import euler_class_roots, generating_series
+from .bundles import RootModel, lambda_minus1_dual, spinor_character
 from .manifolds import (
     CohomologyModel,
     TangentData,
@@ -200,12 +203,8 @@ class FactorExpression:
         product of every root's one-variable lowering (``_lower_root``).
         Raises PoleError when an inverse bose factor is not covered by x
         powers."""
-        variables = root_variables(self.n_roots)
-        out = TruncatedSeries.constant(variables, D, self.scalar)
-        for name, f in zip(variables, self.factors):
-            lowered = _lower_root(f.power, f.exp_coeff, f.bose, f.fermi, D)
-            out = out * lowered.rename({"x1": name}).embed(variables, D)
-        return out
+        blocks = [_lower_root(f.power, f.exp_coeff, f.bose, f.fermi, D) for f in self.factors]
+        return root_product(blocks, D, self.scalar)
 
     def root_factor(self, D: int) -> TruncatedSeries:
         """The factor every root carries, lowered alone over ``("x1",)``
@@ -493,63 +492,34 @@ class VerifyReport(Record):
         }
 
 
-def _todd_factor_negated(D: int) -> TruncatedSeries:
-    """(-x)/(1 - e^{x}): the Todd factor evaluated at the negated root, in ``x``."""
-    x = TruncatedSeries.variable(("x",), D + 1, "x")
-    q = (TruncatedSeries.constant(("x",), D + 1, 1) - x.exp()).quotient_by("x")
-    return -(q.invert())
-
-
-def _tdstar_factor_negated(D: int) -> TruncatedSeries:
-    """(-x)/(1 + e^{x}), in ``x``."""
-    x = TruncatedSeries.variable(("x",), D, "x")
-    u = TruncatedSeries.constant(("x",), D, 1) + x.exp()
-    return -(u.invert() * x)
-
-
-def _cross_root_product(block: TruncatedSeries, m: int) -> TruncatedSeries:
-    """prod_{i=1..m} block(x_i): the one-variable block, renamed to each of
-    the roots x1..xm and embedded, multiplied at the block's truncation."""
-    variables = root_variables(m)
-    D = block.truncation
-    out = TruncatedSeries.constant(variables, D, 1)
-    for name in variables:
-        out = out * block.rename({"x": name}).embed(variables, D)
-    return out
+def _at_minus_x(block: TruncatedSeries) -> TruncatedSeries:
+    """The one-variable series ``block`` at the negated root: the signs of
+    its odd coefficients flipped."""
+    terms = {e: -c if e[0] % 2 else c for e, c in block.terms.items()}
+    return TruncatedSeries(block.variables, block.truncation, terms)
 
 
 def _brute_series(kind: str, l: int, D: int) -> TruncatedSeries:
     """The pairing density by plain series arithmetic, no factored algebra.
 
     Every factor of a density involves one root only, so each root's block
-    is assembled once as a series in ``x`` and the density is the product of
-    its copies over x1..xl; this keeps the intermediate series sparse
-    without assuming any cancellation.  For fb/ff the block is the spinor
-    factor e^{x/2} + e^{-x/2} times the A-hat or B-hat generating series;
-    for bb/bf it is the dual character (1 - e^{-x})(1 - e^{x}) times both
-    genus factors (roots +-x), divided once by the root.
+    is assembled once as a one-variable series and the density is the
+    product of its copies over x1..xl (``root_product``); this keeps the
+    intermediate series sparse without assuming any cancellation.  For
+    fb/ff the block is the spinor character of one root times the A-hat or
+    B-hat generating series; for bb/bf it is the paired dual character of
+    one root times the Todd or Td* series at x and at -x (roots +-x),
+    divided once by the root.
     """
     if kind in ("fb", "ff"):
-        half = TruncatedSeries.variable(("x",), D, "x") * Fraction(1, 2)
-        spinor = half.exp() + (-half).exp()
-        block = spinor * generating_series("ahat" if kind == "fb" else "bhat", D)
-        return _cross_root_product(block, l)
-    one = TruncatedSeries.constant(("x",), D + 1, 1)
-    x = TruncatedSeries.variable(("x",), D + 1, "x")
-    block = (one - (-x).exp()) * (one - x.exp())
-    if kind == "bb":
-        x2 = TruncatedSeries.variable(("x",), D + 2, "x")
-        plus = (
-            (TruncatedSeries.constant(("x",), D + 2, 1) - (-x2).exp())
-            .quotient_by("x")
-            .invert()
-        )
-        block = block * plus * _todd_factor_negated(D + 1)
+        genus = generating_series("ahat" if kind == "fb" else "bhat", D)
+        block = spinor_character(1, D) * genus.rename({"x": "x1"})
     else:
-        tds = one + (-x).exp()
-        block = block * (tds.invert() * x)
-        block = block * _tdstar_factor_negated(D + 1)
-    out = _cross_root_product(block.quotient_by("x"), l)
+        genus = generating_series("todd" if kind == "bb" else "tdstar", D + 1)
+        genus = genus.rename({"x": "x1"})
+        block = lambda_minus1_dual(1, True, D + 1) * genus * _at_minus_x(genus)
+        block = block.quotient_by("x1")
+    out = root_product([block] * l, D)
     if kind == "bb" and (l * (2 * l + 1)) % 2:
         out = -out
     return out
@@ -561,8 +531,9 @@ def _literal_check(kind: str, l: int, D: int) -> Optional[bool]:
     For bb this is the chain prod(1 - e^{-x_i}) * prod x_i/(1 - e^{-x_i}),
     which must collapse to the euler monomial over all m roots; for bf the
     analogous Td* product only reaches the monomial in the limit, so only
-    route agreement is asserted.  The brute-force side builds one root's
-    block in ``x`` and takes the product of its m copies.
+    route agreement is asserted.  The brute-force side is the product over
+    the m roots of one block: the unpaired dual character of one root times
+    the Todd or Td* series.
     """
     if kind not in ("bb", "bf"):
         return None
@@ -577,20 +548,9 @@ def _literal_check(kind: str, l: int, D: int) -> Optional[bool]:
         else:
             expr.mul_power(i, 1).mul_fermi_minus(i, -1)
     factored = expr.to_series(D)
-    one = TruncatedSeries.constant(("x",), D, 1)
-    x = TruncatedSeries.variable(("x",), D, "x")
-    block = one - (-x).exp()
-    if kind == "bb":
-        x2 = TruncatedSeries.variable(("x",), D + 1, "x")
-        block = block * (
-            (TruncatedSeries.constant(("x",), D + 1, 1) - (-x2).exp())
-            .quotient_by("x")
-            .invert()
-        )
-    else:
-        block = block * (((one + (-x).exp()).invert()) * x)
-    brute = _cross_root_product(block, m)
-    if factored != brute:
+    genus = generating_series("todd" if kind == "bb" else "tdstar", D)
+    block = lambda_minus1_dual(1, False, D) * genus.rename({"x": "x1"})
+    if factored != root_product([block] * m, D):
         return False
     if kind == "bb" and factored != euler_class_roots(m, D):
         return False

@@ -38,6 +38,8 @@ __all__ = [
     "format_rational",
     "glex_key",
     "parse_rational",
+    "root_product",
+    "root_variables",
 ]
 
 
@@ -484,6 +486,27 @@ class TruncatedSeries:
             for item in data["terms"]
         }
         return cls(tuple(data["variables"]), int(data["truncation"]), terms)
+
+
+def root_variables(n: int) -> Tuple[str, ...]:
+    """The root names x1..xn."""
+    return tuple(f"x{k}" for k in range(1, n + 1))
+
+
+def root_product(blocks: Sequence[TruncatedSeries], D: int, scalar=1) -> TruncatedSeries:
+    """scalar * prod_i blocks[i](x_i), truncated at total degree D: each
+    one-variable block renamed to its root x1..xn, embedded and multiplied.
+    A block in another number of variables, or known only below degree D,
+    raises ValueError."""
+    variables = root_variables(len(blocks))
+    out = TruncatedSeries.constant(variables, D, scalar)
+    for name, block in zip(variables, blocks):
+        if len(block.variables) != 1:
+            raise ValueError(f"a root block is a series in one variable, not {block.variables}")
+        if block.truncation < D:
+            raise ValueError(f"a root block known through degree {block.truncation} is below {D}")
+        out = out * block.rename({block.variables[0]: name}).embed(variables, D)
+    return out
 
 
 def bernoulli_numbers(k_max: int) -> List[Fraction]:

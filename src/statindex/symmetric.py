@@ -23,10 +23,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm, prod
+from operator import mul, neg
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._record import Record, store
-from .series import Exponents, TruncatedSeries, format_rational, glex_key, parse_rational
+from .series import (Exponents, TruncatedSeries, format_rational, glex_key, parse_rational,
+                     root_variables)
 
 __all__ = [
     "ChernPolynomial",
@@ -106,9 +108,7 @@ class ChernPolynomial(Record):
             "truncation": self.truncation,
             "terms": [
                 {"exponents": list(e), "coefficient": format_rational(c)}
-                for e, c in sorted(
-                    self.terms.items(), key=lambda it: _display_key(self, it[0])
-                )
+                for e, c in _display_order(self)
             ],
         }
 
@@ -121,9 +121,17 @@ class ChernPolynomial(Record):
         return cls(data["basis"], int(data["rank"]), int(data["truncation"]), terms)
 
 
-def _display_key(poly: ChernPolynomial, exps: Exponents) -> Tuple[int, Exponents]:
-    """Weighted degree first; within it, powers of low-index generators lead."""
-    return (poly.weighted_degree(exps), tuple(-e for e in exps))
+def _display_order(poly: ChernPolynomial) -> List[Tuple[Exponents, Fraction]]:
+    """The terms by weighted degree; within it, powers of low-index
+    generators lead.  The basis step (1 for Chern, 2 for Pontryagin) scales
+    every weight alike, so the order is that of sum_k k * m_k."""
+    weights = range(1, poly.rank + 1)
+
+    def key(item):
+        exps = item[0]
+        return (sum(map(mul, weights, exps)), tuple(map(neg, exps)))
+
+    return sorted(poly.terms.items(), key=key)
 
 
 def poly_str(poly: ChernPolynomial) -> str:
@@ -135,8 +143,7 @@ def poly_str(poly: ChernPolynomial) -> str:
     for coeff in poly.terms.values():
         denom = denom * coeff.denominator // gcd(denom, coeff.denominator)
     parts = []
-    ordered = sorted(poly.terms.items(), key=lambda it: _display_key(poly, it[0]))
-    for exps, coeff in ordered:
+    for exps, coeff in _display_order(poly):
         num = coeff * denom
         factors = []
         for name, e in zip(names, exps):
@@ -387,7 +394,7 @@ def expand_in_roots(
     followed by expand_in_roots must reproduce the input exactly.
     """
     if variables is None:
-        variables = tuple(f"x{k}" for k in range(1, poly.rank + 1))
+        variables = root_variables(poly.rank)
     variables = tuple(variables)
     if len(variables) != poly.rank:
         raise ValueError("variable count must match the polynomial rank")

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from statindex import cli
 from statindex.cli import main
+from statindex.statmech import CorrespondenceReport
 
 
 def run(capsys, *argv):
@@ -78,6 +80,16 @@ def test_index_bad_bundle_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bundle", ["O(1/2)", "O(1.5)", "O(1,-1/3)"])
+def test_index_hrr_rejects_a_twist_that_is_not_an_integer(capsys, bundle):
+    manifold = "cp1xcp1" if "," in bundle else "cp2"
+    code, out, err = run(capsys, "index", "hrr", manifold, "--bundle", bundle)
+    assert (code, out) == (2, "")
+    assert err == f"error: bundle {bundle!r} has a twist that is not an integer\n"
+    code, out, _ = run(capsys, "index", "hrr", "cp2", "--bundle", "O(2.0)")
+    assert (code, out.strip()) == (0, "6")
+
+
 def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify", "--all", "--l", "2")
     assert code == 0
@@ -107,6 +119,32 @@ def test_stats_text_and_correspondence(tmp_path, capsys):
     assert code == 0
     assert "Xi                1.5" in out
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_failed_correspondence_exits_1_in_every_format(tmp_path, monkeypatch, capsys, fmt):
+    real = cli.correspondence_check
+    calls = []
+
+    def failing(system, tol, ensemble):
+        report = real(system, tol=tol, ensemble=ensemble)
+        calls.append(report)
+        return CorrespondenceReport(
+            report.system, report.character_values, report.series_values,
+            report.ensemble_values, report.max_relative_deviation, report.tolerance, False,
+        )
+
+    monkeypatch.setattr(cli, "correspondence_check", failing)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"levels": [1.0, 2.0], "mu": 0.0, "beta": 1.0,
+                                "statistics": "FD"}))
+    code, out, _ = run(capsys, "--format", fmt, "stats", str(path), "--check-correspondence")
+    assert code == 1
+    assert len(calls) == 1
+    if fmt == "json":
+        assert json.loads(out)["correspondence"]["ok"] is False
+    else:
+        assert out.splitlines()[-1].startswith("correspondence    FAIL")
 
 
 def test_stats_csv(tmp_path, capsys):

@@ -4,8 +4,8 @@ import pytest
 
 from statindex import pairings
 from statindex.cli import main
-from statindex.genera import euler_class_roots, generating_series, genus_series
-from statindex.bundles import RootModel, spinor_character
+from statindex.genera import euler_class_roots, generating_series, genus_series, root_variables
+from statindex.bundles import RootModel, lambda_minus1_dual, spinor_character
 from statindex.manifolds import catalog
 from statindex.series import TruncatedSeries
 from statindex.pairings import (
@@ -89,13 +89,30 @@ def test_verify_identity_dual_routes(kind, l):
         assert report.literal_ok is True
 
 
-@pytest.mark.parametrize("kind,genus", (("fb", "ahat"), ("ff", "bhat")))
+@pytest.mark.parametrize(
+    "kind,genus", (("fb", "ahat"), ("ff", "bhat"), ("bb", "todd"), ("bf", "tdstar"))
+)
 @pytest.mark.parametrize("l", (1, 2, 3, 4))
 def test_spinor_times_genus_series_is_product_of_root_blocks(kind, genus, l):
-    # route (b) builds fb/ff one root at a time; the l-variable constituents
-    # must give the same series
+    # route (b) builds each density one root at a time; the l-variable
+    # constituents must give the same series
+    variables = root_variables(l)
     for D in (l, 2 * l + 4, 2 * l + 6):
-        product = spinor_character(l, D) * genus_series(genus, l, D)
+        if kind in ("fb", "ff"):
+            product = spinor_character(l, D) * genus_series(genus, l, D)
+        else:
+            # roots +-x_i: the paired dual character times the genus at x and
+            # at -x, known through D + l so that dividing by every x_i leaves D
+            top = D + l
+            at_x = genus_series(genus, l, top)
+            at_minus_x = TruncatedSeries(
+                variables, top, {e: c * (-1) ** sum(e) for e, c in at_x.terms.items()}
+            )
+            product = lambda_minus1_dual(l, True, top) * at_x * at_minus_x
+            for name in variables:
+                product = product.quotient_by(name)
+            if kind == "bb":
+                product = product * (-1) ** (l * (2 * l + 1))
         assert product == pairings._brute_series(kind, l, D)
 
 

@@ -9,6 +9,8 @@ from statindex.series import (
     bernoulli_numbers,
     format_rational,
     parse_rational,
+    root_product,
+    root_variables,
 )
 
 import reference_series as ref
@@ -100,6 +102,26 @@ def test_quotient_by_variable():
     assert xy2.quotient_by("x") == TruncatedSeries(("x", "y"), 2, {(0, 2): Fraction(1)})
     with pytest.raises(NonUnitError):
         univariate([1, 1], 2).quotient_by("x")
+
+
+def test_root_product_renames_each_block_to_its_root():
+    a = univariate([1, 2, 3], 3)
+    b = univariate([0, 1, Fraction(1, 2), 5], 4)
+    expected = TruncatedSeries(
+        ("x1", "x2"), 2, {(0, 1): -3, (1, 1): -6, (0, 2): Fraction(-3, 2)}
+    )
+    assert root_product([a, b], 2, -3) == expected
+    assert root_product([], 2, 5) == TruncatedSeries.constant((), 2, 5)
+    assert root_variables(3) == ("x1", "x2", "x3")
+
+
+def test_root_product_refuses_a_block_it_cannot_place():
+    two = TruncatedSeries.variable(("x", "y"), 4, "x")
+    with pytest.raises(ValueError, match="one variable"):
+        root_product([two], 4)
+    short = univariate([1, 1], 3)
+    with pytest.raises(ValueError, match="through degree 3 is below 4"):
+        root_product([short, short], 4)
 
 
 def test_bernoulli_numbers():

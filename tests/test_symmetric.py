@@ -174,6 +174,22 @@ def test_poly_str_examples():
     assert poly_str(ahat4) == "(7*p1^2 - 4*p2)/5760"
 
 
+@pytest.mark.parametrize("basis", [CHERN, PONTRYAGIN])
+def test_json_and_text_share_one_display_order(basis):
+    # weighted degree first; within it, powers of low-index generators lead
+    rng = random.Random(basis)
+    terms = {tuple(rng.randrange(4) for _ in range(3)): Fraction(1) for _ in range(40)}
+    poly = ChernPolynomial(basis, 3, 20, terms)
+    expected = sorted(terms, key=lambda e: (poly.weighted_degree(e), tuple(-k for k in e)))
+    assert [tuple(t["exponents"]) for t in poly.to_json_dict()["terms"]] == expected
+    names = poly.generator_names()
+    monomials = [
+        "*".join(f"{n}^{k}" if k > 1 else n for n, k in zip(names, e) if k) or "1"
+        for e in expected
+    ]
+    assert poly_str(poly) == " + ".join(monomials)
+
+
 def test_chern_polynomial_json_roundtrip():
     poly = to_chern_basis(genus_series("todd", 2, 2), 2)
     again = ChernPolynomial.from_json_dict(poly.to_json_dict())
