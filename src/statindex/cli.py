@@ -19,12 +19,11 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Sequence
 
 from ._record import Record
-from .series import format_rational
+from .series import format_rational, parse_rational
 from .symmetric import poly_str
 from .genera import GENUS_KINDS, genus_polynomial
 from .bundles import DivergenceError, RootModel
@@ -296,7 +295,7 @@ def _parse_bundle(spec: str, model) -> RootModel:
     if not (text.startswith("O(") and text.endswith(")")):
         raise _CliError(f"cannot parse bundle {spec!r}; expected O(k1,...)")
     try:
-        coeffs = [Fraction(part.strip()) for part in text[2:-1].split(",")]
+        coeffs = [parse_rational(part) for part in text[2:-1].split(",")]
     except ValueError as exc:
         raise _CliError(f"cannot parse bundle {spec!r}: {exc}") from exc
     if len(coeffs) != len(model.generators):

@@ -51,7 +51,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from ._record import Record, store
 from .series import TruncatedSeries, format_rational, root_product, root_variables
-from .symmetric import CHERN, ChernPolynomial, multiplicative_sequence
+from .symmetric import ChernPolynomial, multiplicative_sequence
 from .genera import euler_class_roots, generating_series
 from .bundles import RootModel, lambda_minus1_dual, spinor_character
 from .manifolds import (
@@ -350,11 +350,7 @@ class IndexReport(Record):
     def density(self) -> ChernPolynomial:
         l = self.roots
         root = _root_density(self.pairing, self.mode)
-        per_root = multiplicative_sequence(root.root_factor(l), l, l)
-        scalar = root.scalar ** l
-        return ChernPolynomial(
-            CHERN, l, l, {e: c * scalar for e, c in per_root.terms.items()}
-        )
+        return multiplicative_sequence(root.root_factor(l) * root.scalar, l, l)
 
     @cached_property
     def density_form(self) -> str:

@@ -19,6 +19,13 @@ Instances are immutable by convention: every operation returns a fresh
 series, and the ``terms`` dict is shared by every reader of a series (and
 by every caller of a memoised factor such as ``genera.generating_series``),
 so it must never be mutated.  Values may be shared freely across threads.
+
+Exact values and polynomials are spelled here for the whole package:
+``format_rational``/``parse_rational`` for one rational, ``format_polynomial``
+for a sum of rational multiples of monomials (``str`` of a series and, over
+a common denominator, ``symmetric.poly_str``), and ``terms_to_json`` /
+``terms_from_json`` for the ``{"exponents", "coefficient"}`` term lists of
+every ``to_json_dict``/``from_json_dict`` pair.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Exponents = Tuple[int, ...]
 
@@ -35,11 +42,14 @@ __all__ = [
     "NonUnitError",
     "TruncatedSeries",
     "bernoulli_numbers",
+    "format_polynomial",
     "format_rational",
     "glex_key",
     "parse_rational",
     "root_product",
     "root_variables",
+    "terms_from_json",
+    "terms_to_json",
 ]
 
 
@@ -62,6 +72,37 @@ def format_rational(value: Fraction) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse the ``p/q`` (or plain integer) form produced by format_rational."""
     return Fraction(text.strip())
+
+
+def format_polynomial(names: Sequence[str], terms: Iterable[Tuple[Exponents, Fraction]]) -> str:
+    """Spell the sum of rational multiples of monomials in ``names``, in the
+    order given, e.g. ``-1 + x*y - 2/3*x^2``; the empty sum is ``0``."""
+    parts = []
+    for exps, coeff in terms:
+        mono = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
+        if not mono:
+            parts.append(format_rational(coeff))
+        elif coeff == 1:
+            parts.append(mono)
+        elif coeff == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{format_rational(coeff)}*{mono}")
+    if not parts:
+        return "0"
+    return parts[0] + "".join(
+        f" - {part[1:]}" if part[0] == "-" else f" + {part}" for part in parts[1:]
+    )
+
+
+def terms_to_json(terms: Iterable[Tuple[Exponents, Fraction]]) -> List[dict]:
+    """The ``{"exponents", "coefficient"}`` records of ``terms``, in the order given."""
+    return [{"exponents": list(e), "coefficient": format_rational(c)} for e, c in terms]
+
+
+def terms_from_json(items: Iterable[Mapping]) -> Dict[Exponents, Fraction]:
+    """The terms written by ``terms_to_json``, by exponent tuple."""
+    return {tuple(item["exponents"]): parse_rational(item["coefficient"]) for item in items}
 
 
 def _coerce(value) -> Fraction:
@@ -436,33 +477,8 @@ class TruncatedSeries:
             (self.variables, self.truncation, self._den, frozenset(self._nums.items()))
         )
 
-    def _term_str(self, exps: Exponents, coeff: Fraction) -> str:
-        factors = []
-        for name, e in zip(self.variables, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        if not factors:
-            return format_rational(coeff)
-        mono = "*".join(factors)
-        if coeff == 1:
-            return mono
-        if coeff == -1:
-            return f"-{mono}"
-        return f"{format_rational(coeff)}*{mono}"
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = [self._term_str(e, c) for e, c in self.sorted_terms()]
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+        return format_polynomial(self.variables, self.sorted_terms())
 
     def __repr__(self) -> str:
         return (
@@ -473,19 +489,13 @@ class TruncatedSeries:
         return {
             "variables": list(self.variables),
             "truncation": self.truncation,
-            "terms": [
-                {"exponents": list(e), "coefficient": format_rational(c)}
-                for e, c in self.sorted_terms()
-            ],
+            "terms": terms_to_json(self.sorted_terms()),
         }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "TruncatedSeries":
-        terms = {
-            tuple(item["exponents"]): parse_rational(item["coefficient"])
-            for item in data["terms"]
-        }
-        return cls(tuple(data["variables"]), int(data["truncation"]), terms)
+        return cls(tuple(data["variables"]), int(data["truncation"]),
+                   terms_from_json(data["terms"]))
 
 
 def root_variables(n: int) -> Tuple[str, ...]:

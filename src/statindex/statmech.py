@@ -401,14 +401,19 @@ def bose_geometric_sum(
                 f"tolerance {tol}, more than {max_terms} "
                 f"(y = {y} too close to 0)"
             )
+    # compensated summation (Fast2Sum: total >= term after the first step);
+    # a plain running total drifts by about one rounding per term
     total = 0.0
+    error = 0.0
     term = 1.0
     for n in range(max_terms):
-        total += term
+        new = total + term
+        error += term - (new - total)
+        total = new
         term *= ratio
         tail = term / one_minus
         if tail <= tol:
-            return total, n + 1, tail
+            return total + error, n + 1, tail
     raise TailBoundError(
         f"tail bound {term / one_minus} still above tolerance {tol} after "
         f"{max_terms} terms (y = {y} too close to 0)"

@@ -16,19 +16,23 @@ squares.  Two routes lead from root data to a class polynomial:
   subtract e_1^(a_1-a_2) e_2^(a_2-a_3) ... e_n^(a_n) times its coefficient,
   and repeat, one homogeneous component at a time.  Tests use this route
   as the oracle for the first.
+
+``poly_str`` puts a class polynomial over the lcm of its denominators, e.g.
+``(c1^2 + c2)/12``; the monomials and the JSON term lists are spelled by the
+shared writers of ``series``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, lcm, prod
+from math import factorial, lcm, prod
 from operator import mul, neg
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._record import Record, store
-from .series import (Exponents, TruncatedSeries, format_rational, glex_key, parse_rational,
-                     root_variables)
+from .series import (Exponents, TruncatedSeries, format_polynomial, glex_key, root_variables,
+                     terms_from_json, terms_to_json)
 
 __all__ = [
     "ChernPolynomial",
@@ -106,19 +110,13 @@ class ChernPolynomial(Record):
             "basis": self.basis,
             "rank": self.rank,
             "truncation": self.truncation,
-            "terms": [
-                {"exponents": list(e), "coefficient": format_rational(c)}
-                for e, c in _display_order(self)
-            ],
+            "terms": terms_to_json(_display_order(self)),
         }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ChernPolynomial":
-        terms = {
-            tuple(item["exponents"]): parse_rational(item["coefficient"])
-            for item in data["terms"]
-        }
-        return cls(data["basis"], int(data["rank"]), int(data["truncation"]), terms)
+        return cls(data["basis"], int(data["rank"]), int(data["truncation"]),
+                   terms_from_json(data["terms"]))
 
 
 def _display_order(poly: ChernPolynomial) -> List[Tuple[Exponents, Fraction]]:
@@ -136,36 +134,14 @@ def _display_order(poly: ChernPolynomial) -> List[Tuple[Exponents, Fraction]]:
 
 def poly_str(poly: ChernPolynomial) -> str:
     """Render with a common denominator, e.g. ``(c1^2 + c2)/12``."""
-    if not poly.terms:
-        return "0"
-    names = poly.generator_names()
-    denom = 1
-    for coeff in poly.terms.values():
-        denom = denom * coeff.denominator // gcd(denom, coeff.denominator)
-    parts = []
-    for exps, coeff in _display_order(poly):
-        num = coeff * denom
-        factors = []
-        for name, e in zip(names, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mono = "*".join(factors)
-        if not mono:
-            parts.append(str(num))
-        elif num == 1:
-            parts.append(mono)
-        elif num == -1:
-            parts.append(f"-{mono}")
-        else:
-            parts.append(f"{num}*{mono}")
-    body = parts[0]
-    for part in parts[1:]:
-        body += " - " + part[1:] if part.startswith("-") else " + " + part
+    denom = lcm(*[c.denominator for c in poly.terms.values()])
+    body = format_polynomial(
+        poly.generator_names(),
+        [(e, c.numerator * (denom // c.denominator)) for e, c in _display_order(poly)],
+    )
     if denom == 1:
         return body
-    if len(parts) == 1 and "*" not in body.replace("-", "", 1):
+    if len(poly.terms) == 1 and "*" not in body:
         return f"{body}/{denom}"
     return f"({body})/{denom}"
 

@@ -147,6 +147,21 @@ def test_failed_correspondence_exits_1_in_every_format(tmp_path, monkeypatch, ca
         assert out.splitlines()[-1].startswith("correspondence    FAIL")
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_be_level_near_mu_passes_correspondence_in_every_format(tmp_path, capsys, fmt):
+    # the 3e-5 level needs 1.4M series terms; a plain running total drifted
+    # by 2.2e-12 and reported a valid input as a failed verification
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"levels": [3e-5, 1.0], "mu": 0.0, "beta": 1.0,
+                                "statistics": "BE"}))
+    code, out, _ = run(capsys, "--format", fmt, "stats", str(path), "--check-correspondence")
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["correspondence"]["ok"] is True
+    else:
+        assert out.splitlines()[-1].startswith("correspondence    PASS")
+
+
 def test_stats_csv(tmp_path, capsys):
     payload = {"levels": [1.0, 2.0], "mu": 0.0, "beta": 1.0, "statistics": "BE"}
     path = tmp_path / "system.json"

@@ -5,7 +5,10 @@ and genus groups were captured before the class-space multiplicative-sequence
 route replaced symmetric reduction on the index and genus path; the verify
 and spectral groups before every density came from one per-root lowering.
 The stats group was captured before the one-pass ensemble kernel and the
-shared JSON writer, so it pins every per-level float and output byte.  The
+shared JSON writer, so it pins every per-level float and output byte; its
+JSON ``be-seeded --check-correspondence`` row was captured again when the BE
+series route gained compensated summation, which moved 7 ``series`` values
+each closer to its exact partial sum.  The
 index-wide group (tori, mixed products, cp8, cp10, cp4xcp4, every genus and
 twisted hrr) was captured while every index still went through the class
 polynomial, before the per-factor splitting route replaced it.

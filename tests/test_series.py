@@ -211,6 +211,32 @@ def test_series_json_roundtrip_and_order():
     assert TruncatedSeries.from_json_dict(data) == s
 
 
+@pytest.mark.parametrize(
+    "terms, text",
+    [
+        ({}, "0"),
+        ({(0, 0): 3}, "3"),
+        ({(0, 0): Fraction(-1, 2)}, "-1/2"),
+        ({(1, 0): 1, (0, 1): -1}, "-y + x"),
+        ({(0, 0): -1, (1, 1): 1, (0, 2): -1}, "-1 - y^2 + x*y"),
+        ({(2, 0): Fraction(-2, 3), (0, 1): Fraction(1, 2)}, "1/2*y - 2/3*x^2"),
+    ],
+)
+def test_series_spelling(terms, text):
+    s = TruncatedSeries(("x", "y"), 3, terms)
+    assert str(s) == text
+    assert repr(s) == f"TruncatedSeries(('x', 'y'), D=3, {text})"
+    assert s.to_json_dict() == {
+        "variables": ["x", "y"],
+        "truncation": 3,
+        "terms": [
+            {"exponents": list(e), "coefficient": format_rational(Fraction(c))}
+            for e, c in sorted(terms.items(), key=lambda item: (sum(item[0]), item[0]))
+        ],
+    }
+    assert TruncatedSeries.from_json_dict(s.to_json_dict()) == s
+
+
 def test_constructor_drops_over_truncation_and_zeros():
     s = TruncatedSeries(("x",), 2, {(3,): Fraction(1), (1,): Fraction(0), (2,): 4})
     assert s.terms == {(2,): Fraction(4)}

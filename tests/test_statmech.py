@@ -155,6 +155,18 @@ def test_bose_geometric_sum_tail_bound():
         bose_geometric_sum(-1e-9, tol=1e-13, max_terms=1000)
 
 
+def test_bose_geometric_sum_is_compensated_over_many_terms():
+    mpmath = pytest.importorskip("mpmath")
+    y = -3e-5
+    value, terms, _ = bose_geometric_sum(y, tol=1e-14)
+    with mpmath.workdps(50):
+        ratio = mpmath.exp(mpmath.mpf(y))
+        partial = (1 - ratio**terms) / (1 - ratio)
+        assert abs((value - partial) / partial) < 1e-12
+        exact = 1 / (1 - ratio)
+        assert abs((value - exact) / exact) < 1e-12
+
+
 def test_correspondence_fermion_singleton():
     system = LevelSystem(levels=(LN2,), mu=0.0, beta=1.0, statistics="FD")
     report = correspondence_check(system)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from statindex.series import TruncatedSeries
+from statindex.series import TruncatedSeries, format_rational
 from statindex.symmetric import (
     CHERN,
     PONTRYAGIN,
@@ -172,6 +172,32 @@ def test_poly_str_examples():
     assert poly_str(todd2) == "(c1^2 + c2)/12"
     ahat4 = to_pontryagin_basis(genus_series("ahat", 2, 4).homogeneous_part(4), 2)
     assert poly_str(ahat4) == "(7*p1^2 - 4*p2)/5760"
+
+
+@pytest.mark.parametrize(
+    "basis, terms, text",
+    [
+        (CHERN, {}, "0"),
+        (CHERN, {(0, 0): 3}, "3"),
+        (CHERN, {(0, 0): Fraction(-1, 2)}, "-1/2"),
+        (CHERN, {(1, 0): Fraction(1, 2)}, "c1/2"),
+        (CHERN, {(1, 0): Fraction(-3, 2)}, "(-3*c1)/2"),
+        (CHERN, {(0, 1): 1, (2, 0): -1}, "-c1^2 + c2"),
+        (CHERN, {(0, 0): -1, (1, 1): Fraction(1, 6), (0, 1): Fraction(-1, 4)},
+         "(-12 - 3*c2 + 2*c1*c2)/12"),
+        (PONTRYAGIN, {(0, 1): -1, (2, 0): 7}, "7*p1^2 - p2"),
+    ],
+)
+def test_poly_str_spelling(basis, terms, text):
+    poly = ChernPolynomial(basis, 2, 4, terms)
+    assert poly_str(poly) == str(poly) == text
+    data = poly.to_json_dict()
+    assert data["terms"] == [
+        {"exponents": list(e), "coefficient": format_rational(Fraction(c))}
+        for e, c in sorted(terms.items(), key=lambda item: (poly.weighted_degree(item[0]),
+                                                            tuple(-k for k in item[0])))
+    ]
+    assert ChernPolynomial.from_json_dict(data) == poly
 
 
 @pytest.mark.parametrize("basis", [CHERN, PONTRYAGIN])
