@@ -38,8 +38,9 @@ bundle (roots +-x_i, i = 1..l), with the parity prefactor (-1)^{l(2l+1)}
 m = 2l independent roots are exercised by verify_identity as a separate
 route.  Its brute-force route never touches the factored algebra: each
 root's block is one root's character from ``bundles`` times the genus
-factors of ``genera.generating_series``, and the density is the root
-product of copies of that block.
+factors of ``genera.generating_series``.  Both routes are products of
+copies of one block, so verify compares the blocks by one exact rule
+(``_products_agree``) and expands the products only to name a mismatch.
 """
 
 from __future__ import annotations
@@ -50,9 +51,11 @@ from math import exp as _fexp, factorial
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ._record import Record, store
-from .series import TruncatedSeries, format_rational, root_product, root_variables
+from .series import (
+    TruncatedSeries, _check_root_block, format_rational, root_product, root_variables,
+)
 from .symmetric import ChernPolynomial, multiplicative_sequence
-from .genera import euler_class_roots, generating_series
+from .genera import generating_series
 from .bundles import RootModel, lambda_minus1_dual, spinor_character
 from .manifolds import (
     CohomologyModel,
@@ -488,71 +491,68 @@ class VerifyReport(Record):
         }
 
 
-def _at_minus_x(block: TruncatedSeries) -> TruncatedSeries:
-    """The one-variable series ``block`` at the negated root: the signs of
-    its odd coefficients flipped."""
-    terms = {e: -c if e[0] % 2 else c for e, c in block.terms.items()}
-    return TruncatedSeries(block.variables, block.truncation, terms)
+def _products_agree(a: TruncatedSeries, s_a, b: TruncatedSeries, s_b, n: int, D: int) -> bool:
+    """Whether s_a prod a(x_i) = s_b prod b(x_i) over n roots through degree D,
+    decided on the one-variable blocks a and b.
 
-
-def _brute_series(kind: str, l: int, D: int) -> TruncatedSeries:
-    """The pairing density by plain series arithmetic, no factored algebra.
-
-    Every factor of a density involves one root only, so each root's block
-    is assembled once as a one-variable series and the density is the
-    product of its copies over x1..xl (``root_product``); this keeps the
-    intermediate series sparse without assuming any cancellation.  For
-    fb/ff the block is the spinor character of one root times the A-hat or
-    B-hat generating series; for bb/bf it is the paired dual character of
-    one root times the Todd or Td* series at x and at -x (roots +-x),
-    divided once by the root.
+    A product vanishes unless its scalar is nonzero and its block has a term
+    of degree m <= D/n.  Otherwise, with m the common lowest degree, they agree
+    iff s_a a_m^(n-1) a_k = s_b b_m^(n-1) b_k for k = m..D-(n-1)m: these are
+    the coefficients of x1^m...x(n-1)^m xn^k, and they give s_a (a_m/b_m)^n =
+    s_b and a = (a_m/b_m) b on every exponent either product reaches.  Blocks
+    that ``root_product`` refuses raise ValueError.
     """
+    def lowest(block, scalar):  # the lowest degree the product reaches, None if it vanishes
+        _check_root_block(block, D)
+        return next((k for k in range(D // n + 1) if scalar and block.coefficient((k,))), None)
+    m, m_b = lowest(a, s_a), lowest(b, s_b)
+    if m is None or m != m_b:
+        return m == m_b
+    s_a *= a.coefficient((m,)) ** (n - 1)
+    s_b *= b.coefficient((m,)) ** (n - 1)
+    return all(s_a * a.coefficient((k,)) == s_b * b.coefficient((k,))
+               for k in range(m, D - (n - 1) * m + 1))
+
+
+def _brute_block(kind: str, D: int) -> Tuple[TruncatedSeries, int]:
+    """One root's block of the density by plain series arithmetic, no
+    factored algebra, and the sign each root carries (bb's -1 is the parity
+    prefactor).  For fb/ff it is the spinor character of one root times the
+    A-hat or B-hat series; for bb/bf the paired dual character of one root
+    times the Todd or Td* series at x and at -x (roots +-x), over x."""
     if kind in ("fb", "ff"):
         genus = generating_series("ahat" if kind == "fb" else "bhat", D)
-        block = spinor_character(1, D) * genus.rename({"x": "x1"})
-    else:
-        genus = generating_series("todd" if kind == "bb" else "tdstar", D + 1)
-        genus = genus.rename({"x": "x1"})
-        block = lambda_minus1_dual(1, True, D + 1) * genus * _at_minus_x(genus)
-        block = block.quotient_by("x1")
-    out = root_product([block] * l, D)
-    if kind == "bb" and (l * (2 * l + 1)) % 2:
-        out = -out
-    return out
+        return spinor_character(1, D) * genus.rename({"x": "x1"}), 1
+    genus = generating_series("todd" if kind == "bb" else "tdstar", D + 1).rename({"x": "x1"})
+    at_minus = {e: c * (-1) ** e[0] for e, c in genus.terms.items()}  # the genus at -x
+    block = lambda_minus1_dual(1, True, D + 1) * genus * TruncatedSeries(("x1",), D + 1, at_minus)
+    return block.quotient_by("x1"), -1 if kind == "bb" else 1
+
+
+def _is_euler(kind: str, expr: FactorExpression, n: int, D: int) -> bool:
+    """Whether ``expr`` over n roots is the euler monomial x1...xn: exactly
+    for ff and bb, in the nondegenerate limit for fb and bf."""
+    if kind in ("fb", "bf"):
+        expr = expr.nondegenerate_limit()
+    euler = generating_series("euler", D)
+    return _products_agree(expr.root_factor(D), expr.scalar, euler, 1, n, D)
 
 
 def _literal_check(kind: str, l: int, D: int) -> Optional[bool]:
-    """Single-root (unpaired) products over m = 2l independent roots.
-
-    For bb this is the chain prod(1 - e^{-x_i}) * prod x_i/(1 - e^{-x_i}),
-    which must collapse to the euler monomial over all m roots; for bf the
-    analogous Td* product only reaches the monomial in the limit, so only
-    route agreement is asserted.  The brute-force side is the product over
-    the m roots of one block: the unpaired dual character of one root times
-    the Todd or Td* series.
-    """
-    if kind not in ("bb", "bf"):
-        return None
+    """Single-root (unpaired) products over m = 2l independent roots: for bb
+    the chain prod(1 - e^{-x_i}) * prod x_i/(1 - e^{-x_i}), which must be the
+    euler monomial over all m roots, for bf the analogous Td* product, which
+    is the monomial in the limit.  One root built in the factored algebra is
+    compared with the unpaired dual character of one root times the genus."""
     m = 2 * l
-    if D < m:
+    if kind not in ("bb", "bf") or D < m:
         return None
-    expr = FactorExpression(m)
-    for i in range(m):
-        expr.mul_bose_minus(i, 1)
-        if kind == "bb":
-            expr.mul_power(i, 1).mul_bose_minus(i, -1)
-        else:
-            expr.mul_power(i, 1).mul_fermi_minus(i, -1)
-    factored = expr.to_series(D)
+    root = FactorExpression(1).mul_bose_minus(0, 1).mul_power(0, 1)
+    (root.mul_bose_minus if kind == "bb" else root.mul_fermi_minus)(0, -1)
     genus = generating_series("todd" if kind == "bb" else "tdstar", D)
     block = lambda_minus1_dual(1, False, D) * genus.rename({"x": "x1"})
-    if factored != root_product([block] * m, D):
-        return False
-    if kind == "bb" and factored != euler_class_roots(m, D):
-        return False
-    if kind == "bf" and expr.nondegenerate_limit().to_series(D) != euler_class_roots(m, D):
-        return False
-    return True
+    return (_products_agree(root.root_factor(D), root.scalar, block, 1, m, D)
+            and _is_euler(kind, root, m, D))
 
 
 _CHAINS = {
@@ -586,11 +586,12 @@ _CHAINS = {
 def verify_identity(kind: str, l: int, D: Optional[int] = None) -> VerifyReport:
     """Re-derive the pairing density two independent ways and compare.
 
-    Route (a) is the factored-algebra cancellation lowered to a series;
-    route (b) is brute-force series arithmetic on the constituent
-    characters and genus factors.  For ff/bb the density must additionally
-    equal the euler monomial outright; for fb/bf it must equal it after
-    the nondegenerate substitution.
+    Route (a) is the factored-algebra cancellation; route (b) is brute-force
+    series arithmetic on the characters and genus factors.  For ff/bb the
+    density must also equal the euler monomial outright, for fb/bf after the
+    nondegenerate substitution.  Each comparison is made on the per-root
+    blocks (``_products_agree``); the l-variable expansions are built only to
+    name the first differing coefficient when the routes disagree.
     """
     _check_kind(kind)
     if l < 1:
@@ -603,28 +604,21 @@ def verify_identity(kind: str, l: int, D: Optional[int] = None) -> VerifyReport:
             "leading degree would be lost"
         )
     expr = pairing_density(kind, l)
-    factored = expr.to_series(D)
-    brute = _brute_series(kind, l, D)
+    block, sign = _brute_block(kind, D)
     mismatch: Optional[Tuple[Tuple[int, ...], str, str]] = None
-    exps_all = []
-    if factored != brute:
-        exps_all = sorted(set(factored.terms) | set(brute.terms))
-    for exps in exps_all:
-        a = factored.coefficient(exps)
-        b = brute.coefficient(exps)
-        if a != b:
-            mismatch = (exps, format_rational(a), format_rational(b))
-            break
-    ok = mismatch is None
-    if ok:
-        euler = euler_class_roots(l, D)
-        if kind in ("ff", "bb"):
-            ok = factored == euler
-        else:
-            ok = expr.nondegenerate_limit().to_series(D) == euler
+    ok = _products_agree(expr.root_factor(D), expr.scalar, block, sign ** l, l, D)
+    if not ok:
+        factored = expr.to_series(D)
+        brute = root_product([block] * l, D, sign ** l)
+        for exps in sorted(set(factored.terms) | set(brute.terms)):
+            a = factored.coefficient(exps)
+            b = brute.coefficient(exps)
+            if a != b:
+                mismatch = (exps, format_rational(a), format_rational(b))
+                break
+    ok = ok and _is_euler(kind, expr, l, D)
     literal_ok = _literal_check(kind, l, D) if ok else None
-    if literal_ok is False:
-        ok = False
+    ok = ok and literal_ok is not False
     return VerifyReport(
         kind=kind,
         l=l,

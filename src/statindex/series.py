@@ -503,6 +503,14 @@ def root_variables(n: int) -> Tuple[str, ...]:
     return tuple(f"x{k}" for k in range(1, n + 1))
 
 
+def _check_root_block(block: TruncatedSeries, D: int) -> None:
+    """Refuse a root block that is not a series in one variable known through degree D."""
+    if len(block.variables) != 1:
+        raise ValueError(f"a root block is a series in one variable, not {block.variables}")
+    if block.truncation < D:
+        raise ValueError(f"a root block known through degree {block.truncation} is below {D}")
+
+
 def root_product(blocks: Sequence[TruncatedSeries], D: int, scalar=1) -> TruncatedSeries:
     """scalar * prod_i blocks[i](x_i), truncated at total degree D: each
     one-variable block renamed to its root x1..xn, embedded and multiplied.
@@ -511,10 +519,7 @@ def root_product(blocks: Sequence[TruncatedSeries], D: int, scalar=1) -> Truncat
     variables = root_variables(len(blocks))
     out = TruncatedSeries.constant(variables, D, scalar)
     for name, block in zip(variables, blocks):
-        if len(block.variables) != 1:
-            raise ValueError(f"a root block is a series in one variable, not {block.variables}")
-        if block.truncation < D:
-            raise ValueError(f"a root block known through degree {block.truncation} is below {D}")
+        _check_root_block(block, D)
         out = out * block.rename({block.variables[0]: name}).embed(variables, D)
     return out
 

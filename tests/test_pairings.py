@@ -7,7 +7,7 @@ from statindex.cli import main
 from statindex.genera import euler_class_roots, generating_series, genus_series, root_variables
 from statindex.bundles import RootModel, lambda_minus1_dual, spinor_character
 from statindex.manifolds import catalog
-from statindex.series import TruncatedSeries
+from statindex.series import TruncatedSeries, root_product
 from statindex.pairings import (
     FactorExpression,
     PAIRING_KINDS,
@@ -80,7 +80,7 @@ def test_bb_prefactor_parity(l):
 
 
 @pytest.mark.parametrize("kind", PAIRING_KINDS)
-@pytest.mark.parametrize("l", range(1, 8))
+@pytest.mark.parametrize("l", range(1, 13))
 def test_verify_identity_dual_routes(kind, l):
     report = verify_identity(kind, l)
     assert report.ok
@@ -94,8 +94,8 @@ def test_verify_identity_dual_routes(kind, l):
 )
 @pytest.mark.parametrize("l", (1, 2, 3, 4))
 def test_spinor_times_genus_series_is_product_of_root_blocks(kind, genus, l):
-    # route (b) builds each density one root at a time; the l-variable
-    # constituents must give the same series
+    # route (b) builds each density from one root's block and sign; the
+    # l-variable constituents must give the same series
     variables = root_variables(l)
     for D in (l, 2 * l + 4, 2 * l + 6):
         if kind in ("fb", "ff"):
@@ -113,7 +113,8 @@ def test_spinor_times_genus_series_is_product_of_root_blocks(kind, genus, l):
                 product = product.quotient_by(name)
             if kind == "bb":
                 product = product * (-1) ** (l * (2 * l + 1))
-        assert product == pairings._brute_series(kind, l, D)
+        block, sign = pairings._brute_block(kind, D)
+        assert product == root_product([block] * l, D, sign ** l)
 
 
 def test_brute_series_bypasses_factored_algebra(monkeypatch):
@@ -124,27 +125,71 @@ def test_brute_series_bypasses_factored_algebra(monkeypatch):
     monkeypatch.setattr(FactorExpression, "__init__", forbidden)
     monkeypatch.setattr(FactorExpression, "to_series", forbidden)
     for kind in PAIRING_KINDS:
-        assert pairings._brute_series(kind, 3, 8).truncation == 8
+        block, sign = pairings._brute_block(kind, 8)
+        assert block.variables == ("x1",) and block.truncation == 8
+        assert sign == (-1 if kind == "bb" else 1)
+
+
+def _bumped(block, k):
+    """``block`` with its x^k coefficient raised by one."""
+    terms = dict(block.terms)
+    terms[(k,)] = block.coefficient((k,)) + 1
+    return TruncatedSeries(block.variables, block.truncation, terms)
 
 
 def test_verify_reports_a_perturbed_brute_route(monkeypatch, capsys):
-    brute = pairings._brute_series
-    exps = (2, 0)
-
-    def perturbed(kind, l, D):
-        series = brute(kind, l, D)
-        bumped = dict(series.terms)
-        bumped[exps] = series.coefficient(exps) + 1
-        return TruncatedSeries(series.variables, D, bumped)
-
-    monkeypatch.setattr(pairings, "_brute_series", perturbed)
+    block, sign = pairings._brute_block("fb", 6)
+    bumped = _bumped(block, 2)
+    monkeypatch.setattr(pairings, "_brute_block", lambda kind, D: (bumped, sign))
     report = verify_identity("fb", 2, 6)
-    expected = pairings.density_series("fb", 2, "exact", 6).coefficient(exps)
+    factored = density_series("fb", 2, "exact", 6)
+    expanded = root_product([bumped] * 2, 6, sign ** 2)
+    exps = next(e for e in sorted(set(factored.terms) | set(expanded.terms))
+                if factored.coefficient(e) != expanded.coefficient(e))
     assert not report.ok
-    assert report.first_mismatch == (exps, str(expected), str(expected + 1))
+    assert report.first_mismatch == (
+        exps, str(factored.coefficient(exps)), str(expanded.coefficient(exps)))
     assert report.literal_ok is None
     assert main(["verify", "fb", "--l", "2", "--degree", "6"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind,m", (("ff", 1), ("bb", 1), ("bf", 3)))
+@pytest.mark.parametrize("l", (2, 3, 4))
+def test_verify_ignores_block_terms_the_product_never_reaches(monkeypatch, kind, m, l):
+    # every monomial of the density has all its exponents >= m, so a block
+    # coefficient above D - (l - 1) m never reaches the product
+    D = 2 * l + 6
+    k = D - (l - 1) * m + 1
+    block, sign = pairings._brute_block(kind, D)
+    bumped = _bumped(block, k)
+    monkeypatch.setattr(pairings, "_brute_block", lambda kind, D: (bumped, sign))
+    assert bumped != block
+    assert root_product([bumped] * l, D, sign ** l) == density_series(kind, l, "exact", D)
+    report = verify_identity(kind, l, D)
+    assert report.ok and report.first_mismatch is None
+
+
+def test_a_passing_verify_never_expands(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a passing verify expanded a product over the roots")
+
+    monkeypatch.setattr(pairings, "root_product", forbidden)
+    monkeypatch.setattr(FactorExpression, "to_series", forbidden)
+    for kind in PAIRING_KINDS:
+        for l in range(1, 7):
+            for D in (2 * l + 4, 2 * l + 6):
+                report = verify_identity(kind, l, D)
+                assert report.ok and report.first_mismatch is None
+                assert report.literal_ok is (True if kind in ("bb", "bf") else None)
+
+
+def test_products_agree_refuses_a_block_root_product_refuses():
+    x = TruncatedSeries.variable(("x",), 4, "x")
+    with pytest.raises(ValueError, match="one variable"):
+        pairings._products_agree(x, 1, TruncatedSeries.constant(("x", "y"), 4, 1), 1, 2, 4)
+    with pytest.raises(ValueError, match="below"):
+        pairings._products_agree(x, 1, TruncatedSeries.variable(("x",), 3, "x"), 1, 2, 4)
 
 
 def test_verify_report_serializes():

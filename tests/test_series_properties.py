@@ -7,7 +7,10 @@ checks (only series addition and scaling by a Fraction).  The integer form
 a series is held in is checked the same way: the linear operations and
 restrictions against Fraction-dict versions written here, equality and
 hashing against Fraction-dict equality, and the memoised one-variable
-factors against freshly built ones.
+factors against freshly built ones.  The rule verify uses to compare two
+products over the roots on their one-variable blocks
+(``pairings._products_agree``) is checked against equality of the
+expanded products (``series.root_product``).
 """
 
 from fractions import Fraction
@@ -21,8 +24,13 @@ st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
 from statindex.genera import GENUS_KINDS, _root_factor, generating_series  # noqa: E402
-from statindex.pairings import PAIRING_KINDS, _lower_root, _root_density  # noqa: E402
-from statindex.series import TruncatedSeries  # noqa: E402
+from statindex.pairings import (  # noqa: E402
+    PAIRING_KINDS,
+    _lower_root,
+    _products_agree,
+    _root_density,
+)
+from statindex.series import TruncatedSeries, root_product  # noqa: E402
 
 # dense series take every monomial when there are at most this many
 DENSE_LIMIT = 45
@@ -232,3 +240,56 @@ def test_memoised_factors_equal_fresh_ones(D):
             fresh = _lower_root.__wrapped__(f.power, f.exp_coeff, f.bose, f.fermi, D)
             assert root.root_factor(D) == fresh
             assert root.root_factor(D).terms == fresh.terms
+
+
+NONZERO = COEFFICIENTS.filter(bool)
+MUTATIONS = ("scaled", "low", "zero", "lowest", "high", "free")
+
+
+@st.composite
+def block_pairs(draw):
+    """Scalars and one-variable blocks s_a, a, s_b, b over n <= 4 roots
+    through degree D <= 9, a built from b by one mutation; whether the two
+    products must agree, and n and D."""
+    n, D = draw(st.integers(1, 4)), draw(st.integers(0, 9))
+    top = D + draw(st.integers(0, 2))
+    degrees = draw(st.lists(st.integers(0, top), max_size=7, unique=True))
+    b = {(k,): draw(COEFFICIENTS) for k in degrees}
+    if draw(st.booleans()):  # a term low enough that the product need not vanish
+        b[(draw(st.integers(0, D // n)),)] = draw(NONZERO)
+    s_b = draw(COEFFICIENTS)
+    a, s_a, agree = dict(b), s_b, False
+    mutation = draw(st.sampled_from(MUTATIONS))
+    if mutation == "scaled":
+        c = draw(NONZERO)
+        a, s_a, agree = {e: c * v for e, v in b.items()}, Fraction(s_b) / c ** n, True
+    elif mutation == "low":
+        k = draw(st.integers(0, D))
+        a[(k,)] = b.get((k,), 0) + draw(NONZERO)
+    elif mutation == "zero":
+        a, s_a = draw(st.sampled_from(((a, 0), ({}, s_a), ({}, 0))))
+        s_b = draw(st.sampled_from((s_b, 0)))
+    elif mutation == "lowest":
+        a = {(k + 1,): v for (k,), v in b.items()}
+    elif mutation == "high":
+        # a coefficient above D - (n - 1) m, m the lowest degree, is never reached
+        m = min((k for (k,), v in b.items() if v), default=None)
+        if s_b and m is not None and n * m <= D and D - (n - 1) * m < top:
+            k = draw(st.integers(D - (n - 1) * m + 1, top))
+            a[(k,)] = b.get((k,), 0) + draw(NONZERO)
+            agree = True
+    else:
+        a = {(k,): draw(COEFFICIENTS) for k in draw(st.lists(st.integers(0, top), max_size=7))}
+        s_a = draw(COEFFICIENTS)
+    block = lambda terms: TruncatedSeries(("x",), top, terms)  # noqa: E731
+    return s_a, block(a), s_b, block(b), agree, n, D
+
+
+@PROPERTY
+@given(block_pairs())
+def test_block_rule_matches_expanded_products(case):
+    s_a, a, s_b, b, agree, n, D = case
+    expanded = root_product([a] * n, D, s_a) == root_product([b] * n, D, s_b)
+    assert _products_agree(a, s_a, b, s_b, n, D) is expanded
+    assert _products_agree(b, s_b, a, s_a, n, D) is expanded
+    assert expanded or not agree
