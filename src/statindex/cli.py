@@ -26,16 +26,10 @@ from ._record import Record
 from .series import format_rational, parse_rational
 from .symmetric import poly_str
 from .genera import GENUS_KINDS, genus_polynomial
-from .bundles import DivergenceError, RootModel
-from .manifolds import CatalogError, catalog, genus_number
+from .bundles import RootModel
+from .manifolds import catalog, genus_number
 from .pairings import PAIRING_KINDS, hrr_index, pairing_index, verify_identity
-from .statmech import (
-    ConvergenceError,
-    LevelSystem,
-    TailBoundError,
-    correspondence_check,
-    grand_ensemble,
-)
+from .statmech import LevelSystem, correspondence_check, grand_ensemble
 from .spectral import SpectrumSpec, build_spectral_report, zeta_det
 
 __all__ = ["main", "RunConfig"]
@@ -60,10 +54,6 @@ class RunConfig(Record, frozen=False):
         self.degree = degree
         self.fmt = fmt
         self.tolerance = tolerance
-
-
-class _CliError(Exception):
-    """Input or domain error; mapped to exit code 2."""
 
 
 def _fmt_float(x: float) -> str:
@@ -263,7 +253,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         with open(args.config, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
         if not isinstance(raw, dict):
-            raise _CliError("config file must hold a JSON object")
+            raise ValueError("config file must hold a JSON object")
         for key in ("degree", "tolerance"):
             if key in raw:
                 values[key] = raw[key]
@@ -279,7 +269,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _parse_spectrum(args: argparse.Namespace) -> SpectrumSpec:
-    if getattr(args, "finite", None):
+    if getattr(args, "finite", None) is not None:
         eigenvalues = [float(part) for part in args.finite.split(",") if part.strip()]
         return SpectrumSpec.finite(eigenvalues)
     if getattr(args, "affine", None):
@@ -293,18 +283,18 @@ def _parse_bundle(spec: str, model) -> RootModel:
     if text.lower() in ("o", "trivial", "o(0)"):
         return RootModel.build(model.generators, model.complex_dim, [({}, 1)])
     if not (text.startswith("O(") and text.endswith(")")):
-        raise _CliError(f"cannot parse bundle {spec!r}; expected O(k1,...)")
+        raise ValueError(f"cannot parse bundle {spec!r}; expected O(k1,...)")
     try:
         coeffs = [parse_rational(part) for part in text[2:-1].split(",")]
     except ValueError as exc:
-        raise _CliError(f"cannot parse bundle {spec!r}: {exc}") from exc
+        raise ValueError(f"cannot parse bundle {spec!r}: {exc}") from exc
     if len(coeffs) != len(model.generators):
-        raise _CliError(
+        raise ValueError(
             f"bundle {spec!r} has {len(coeffs)} twist(s), manifold "
             f"{model.name} has {len(model.generators)} generator(s)"
         )
     if any(c.denominator != 1 for c in coeffs):
-        raise _CliError(f"bundle {spec!r} has a twist that is not an integer")
+        raise ValueError(f"bundle {spec!r} has a twist that is not an integer")
     root = dict(zip(model.generators, coeffs))
     return RootModel.build(model.generators, model.complex_dim, [(root, 1)])
 
@@ -473,17 +463,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = _load_config(args)
         return _HANDLERS[args.command](args, config)
-    except (
-        _CliError,
-        CatalogError,
-        ConvergenceError,
-        DivergenceError,
-        TailBoundError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-        ArithmeticError,
-    ) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

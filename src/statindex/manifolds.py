@@ -36,7 +36,7 @@ from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from ._record import Record, store
-from .series import Exponents, TruncatedSeries
+from .series import Exponents, TruncatedSeries, _check_root_block
 from .symmetric import CHERN, PONTRYAGIN, ChernPolynomial
 from .genera import generating_series
 
@@ -306,14 +306,8 @@ def _factor_classes(
     vanishes."""
     if not model.factors:
         raise ValueError(f"model {model.name!r} records no catalog factors")
-    if len(factor.variables) != 1:
-        raise ValueError("per-root factor must be a one-variable series")
     need = max((n for kind, n in model.factors if kind == "cp"), default=0)
-    if factor.truncation < need:
-        raise ValueError(
-            f"per-root factor known through degree {factor.truncation}, "
-            f"a factor cp{need} needs {need}"
-        )
+    _check_root_block(factor, need)
     classes = [_factor_class(factor, scalar, kind, n) for kind, n in model.factors]
     return None if None in classes else classes
 

@@ -97,6 +97,7 @@ def _to_floats(values, what: str) -> Tuple[float, ...]:
         raise ValueError(f"{what} must be a list of numbers") from None
 
 
+_LN2 = math.log(2.0)
 _BOSE_SUM_DIVERGES = "bosonic level sum diverges for x = {x} <= 0 (needs eps > mu)"
 
 # a per-level kernel: one value per level argument x
@@ -120,15 +121,12 @@ def _occupations(kernel: _Kernel, xs: Sequence[float]) -> List[float]:
 
 
 def _be_logs(xs: Sequence[float]) -> List[float]:
-    exp, log1p = math.exp, math.log1p
-    try:
-        return [-log1p(-exp(-x)) for x in xs]
-    except ValueError:
-        pass
-    # for 0 < x < 5.6e-17, e^{-x} rounds to 1 and log1p(-1) is undefined;
-    # -ln(-expm1(-x)) is not, and only those levels take it
-    log, expm1 = math.log, math.expm1
-    return [-log(-expm1(-x)) if exp(-x) == 1.0 else -log1p(-exp(-x)) for x in xs]
+    """-ln(1 - e^{-x}) for x > 0 by one rule (Maechler 2012): ln(-expm1(-x))
+    for x <= ln 2, where 1 - e^{-x} would cancel, and log1p(-e^{-x}) above,
+    where e^{-x} <= 1/2 is exact enough.  Relative error at most 3e-16 for
+    x in (0, 708]; beyond that the value is subnormal and within 2.5e-324."""
+    exp, expm1, log, log1p = math.exp, math.expm1, math.log, math.log1p
+    return [-log(-expm1(-x)) if x <= _LN2 else -log1p(-exp(-x)) for x in xs]
 
 
 def _be_occupations(xs: Sequence[float]) -> List[float]:

@@ -31,8 +31,8 @@ from operator import mul, neg
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._record import Record, store
-from .series import (Exponents, TruncatedSeries, format_polynomial, glex_key, root_variables,
-                     terms_from_json, terms_to_json)
+from .series import (Exponents, TruncatedSeries, _check_root_block, format_polynomial, glex_key,
+                     root_variables, terms_from_json, terms_to_json)
 
 __all__ = [
     "ChernPolynomial",
@@ -295,14 +295,11 @@ def multiplicative_sequence(
     """
     if basis not in (CHERN, PONTRYAGIN):
         raise ValueError(f"unknown basis {basis!r}")
-    if len(factor.variables) != 1:
-        raise ValueError("per-root factor must be a one-variable series")
+    _check_root_block(factor, truncation)
     if n_roots < 1:
         raise ValueError("need at least one root")
-    if not 0 <= truncation <= factor.truncation:
-        raise ValueError(
-            f"truncation {truncation} outside the factor's range 0..{factor.truncation}"
-        )
+    if truncation < 0:
+        raise ValueError(f"truncation {truncation} is negative")
     coeffs = [factor.coefficient((k,)) for k in range(truncation + 1)]
     if basis == PONTRYAGIN:
         if any(coeffs[1::2]):

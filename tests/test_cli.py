@@ -349,6 +349,8 @@ def test_seed_flag_is_gone(capsys):
     [
         ["verify", "--all", "--l", "2", "--degree", "1"],
         ["zeta-det", "--finite", "nan"],
+        ["zeta-det", "--finite", ""],
+        ["zeta-det", "--finite", " , "],
         ["zeta-det", "--finite", "1,inf"],
         ["zeta-det", "--affine", "nan", "1"],
         ["zeta-det", "--affine", "1", "inf"],

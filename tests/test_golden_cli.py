@@ -8,7 +8,11 @@ The stats group was captured before the one-pass ensemble kernel and the
 shared JSON writer, so it pins every per-level float and output byte; its
 JSON ``be-seeded --check-correspondence`` row was captured again when the BE
 series route gained compensated summation, which moved 7 ``series`` values
-each closer to its exact partial sum.  The
+each closer to its exact partial sum.  The ``be-near-mu`` stats rows and the
+``finite-spread`` spectral rows were captured again when the BE log kernel
+took -ln(-expm1(-x)) for every x <= ln 2, which moved 13 values (the
+levels at x = 1e-9 and 1e-4, the totals over them, and ln Xi_BE of the
+eigenvalues 0.01 and 0.37), each closer to mpmath.  The
 index-wide group (tori, mixed products, cp8, cp10, cp4xcp4, every genus and
 twisted hrr) was captured while every index still went through the class
 polynomial, before the per-factor splitting route replaced it.

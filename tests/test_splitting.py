@@ -196,7 +196,7 @@ def test_per_factor_rule_on_one_factor():
     # m >= 2 and a vanishing factor: the class is 0
     assert multiplicative_class(model, x * x, 1).is_zero()
     assert multiplicative_integral(model, TruncatedSeries.zero(("x",), 3)) == 0
-    with pytest.raises(ValueError, match="needs 3"):
+    with pytest.raises(ValueError, match="known through degree 2 is below 3"):
         multiplicative_integral(model, TruncatedSeries.constant(("x",), 2, 1))
 
 

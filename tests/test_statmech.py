@@ -7,6 +7,7 @@ from statindex.statmech import (
     ConvergenceError,
     LevelSystem,
     TailBoundError,
+    _be_logs,
     bose_geometric_sum,
     correspondence_check,
     grand_ensemble,
@@ -56,7 +57,7 @@ def test_occupation_far_above_mu_underflows(statistics):
 
 
 def test_be_levels_just_above_mu_have_finite_logs():
-    # e^{-x} rounds to 1 below x = 5.6e-17, so log1p(-e^{-x}) is undefined
+    # below x = 5.6e-17, e^{-x} rounds to 1, yet the level's log stays finite
     assert log_level_partition("BE", 1e-17) == -math.log(1e-17)
     assert log_level_partition("BE", 1e-320) == -math.log(1e-320)
     report = grand_ensemble(
@@ -65,6 +66,29 @@ def test_be_levels_just_above_mu_have_finite_logs():
     # the other level keeps the value of the closed form
     assert report.per_level_xi[1] == math.exp(-math.log1p(-math.exp(-1.0)))
     assert report.log_xi == math.fsum([-math.log(1e-17), -math.log1p(-math.exp(-1.0))])
+
+
+def _be_log_reference(x, mpmath):
+    """-ln(1 - e^{-x}) to 50 digits: the working precision also covers the
+    digits that 1 - e^{-x} cancels, -log10(x) for small x and x/ln 10 for
+    large x, so the reference needs neither expm1 nor log1p."""
+    with mpmath.workdps(55 + max(0, -math.log10(x)) + x / math.log(10)):
+        return -mpmath.log(1 - mpmath.exp(-mpmath.mpf(x)))
+
+
+def test_be_log_kernel_accuracy_budget():
+    # relative error at most 3e-16 on (0, 708]; beyond it the value is
+    # subnormal (or 0) and within 2.5e-324
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(17)
+    grid = [rng.uniform(0.0, 8.0) for _ in range(1500)]
+    grid += [math.exp(rng.uniform(-745.0, 6.7)) for _ in range(1500)]
+    grid += [5e-324, 1e-300, math.nextafter(LN2, 0.0), LN2, math.nextafter(LN2, 1.0), 708.0,
+             745.2]
+    for x, got in zip(grid, _be_logs(grid)):
+        expected = _be_log_reference(x, mpmath)
+        bound = 3e-16 * expected if x <= 708.0 else mpmath.mpf(2.5e-324)
+        assert abs(got - expected) <= bound, x
 
 
 def test_occupation_by_derivative_matches_closed_forms():
