@@ -16,6 +16,7 @@ brute-force route of ``pairings.verify_identity``.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, NamedTuple, Sequence, Tuple
 
@@ -37,6 +38,16 @@ __all__ = [
 
 class DivergenceError(ValueError):
     """A bosonic factor with a vanishing root has no convergent occupation sum."""
+
+
+# e^v and e^v - 1 are finite binary64 numbers exactly for v <= _LOG_MAX
+# (709.782712893384); one float above it, math.exp and math.expm1 raise
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _safe_exp(value: float) -> float:
+    """e^value, or Infinity where that is beyond binary64 range."""
+    return math.inf if value > _LOG_MAX else math.exp(value)
 
 
 def _validate_root(root: TruncatedSeries) -> None:
@@ -242,8 +253,5 @@ def fock_character_value(statistics: str, y: float) -> float:
             raise DivergenceError(f"bosonic character needs a negative root, got y={y}")
         return 1.0 / (-math.expm1(y))
     if statistics == "FD":
-        try:
-            return 1.0 + math.exp(y)
-        except OverflowError:
-            return math.inf
+        return 1.0 + _safe_exp(y)
     raise ValueError(f"unknown statistics {statistics!r}")

@@ -49,6 +49,8 @@ class RunConfig(Record, frozen=False):
             raise ValueError("degree must be >= 0")
         if not tolerance > 0:  # also rejects nan
             raise ValueError("tolerance must be positive")
+        if tolerance == float("inf"):  # truncates every series after one term
+            raise ValueError("tolerance must be finite")
         if fmt not in FORMATS:
             raise ValueError(f"unknown format {fmt!r}")
         self.degree = degree
@@ -360,7 +362,9 @@ _TABLE_ROWS = (
 
 def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     kinds = PAIRING_KINDS if args.all or args.kind is None else (args.kind,)
-    reports = [verify_identity(kind, args.roots, args.verify_degree) for kind in kinds]
+    # the subcommand's --degree wins over the global one (flag or config key)
+    D = config.degree if args.verify_degree is None else args.verify_degree
+    reports = [verify_identity(kind, args.roots, D) for kind in kinds]
     if config.fmt == "json":
         _emit_json([report.to_json_dict() for report in reports])
     else:

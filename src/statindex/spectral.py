@@ -31,7 +31,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ._record import Record, store
 from .series import bernoulli_numbers
-from .statmech import _KERNELS, TailBoundError, _require_keys, _safe_exp, _to_float, _to_floats
+from .bundles import _safe_exp
+from .statmech import _KERNELS, TailBoundError, _require_keys, _to_float, _to_floats
 from .pairings import PAIRING_KINDS, pairing_density
 
 __all__ = [

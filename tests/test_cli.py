@@ -111,6 +111,40 @@ def test_verify_json(capsys):
     assert all(item["ok"] for item in reports)
 
 
+def _verify_header(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    return out.splitlines()[0]
+
+
+def test_verify_reads_the_global_degree(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"degree": 10}))
+    default = "pairing dictionary (l = 2, D = 8)"
+    assert _verify_header(capsys, "verify", "fb", "--l", "2") == default
+    ten = "pairing dictionary (l = 2, D = 10)"
+    assert _verify_header(capsys, "--degree", "10", "verify", "fb", "--l", "2") == ten
+    assert _verify_header(capsys, "--config", str(config), "verify", "fb", "--l", "2") == ten
+    # the global flag wins over the config key, the subcommand's flag over both
+    six = "pairing dictionary (l = 2, D = 6)"
+    assert _verify_header(capsys, "--config", str(config), "--degree", "6",
+                          "verify", "fb", "--l", "2") == six
+    assert _verify_header(capsys, "--config", str(config), "--degree", "12",
+                          "verify", "fb", "--l", "2", "--degree", "6") == six
+    code, out, _ = run(capsys, "--format", "json", "--degree", "9", "verify", "--all", "--l", "3")
+    assert code == 0 and {report["truncation"] for report in json.loads(out)} == {9}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_verify_global_degree_below_the_root_count_exits_2(tmp_path, capsys, source):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"degree": 1}))
+    option = ["--degree", "1"] if source == "flag" else ["--config", str(config)]
+    code, out, err = run(capsys, *option, "verify", "fb", "--l", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: truncation 1 is below the root count 2")
+
+
 def test_stats_text_and_correspondence(tmp_path, capsys):
     payload = {"levels": [math.log(2.0)], "mu": 0.0, "beta": 1.0, "statistics": "FD"}
     path = tmp_path / "system.json"

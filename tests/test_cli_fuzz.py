@@ -6,8 +6,10 @@ Exit 1 comes only from a ``verify`` or ``stats --check-correspondence``
 request whose output reports the failed check.  Requests with an answer in
 float range must exit 0: a log-balanced finite spectrum (eigenvalues
 e^{t_i - mean t}, whose product is near 1) and BE levels at x down to
-1e-300.  Tier-1 runs the default profile's few seconds of examples; the
-``ci`` profile runs ten times as many:
+1e-300.  Every float of an exit-0 JSON answer is finite, except in the
+fields that the README lists as possibly Infinity.  Tier-1 runs the
+default profile's few seconds of examples; the ``ci`` profile runs ten
+times as many:
 
     python -m pytest -q tests/test_cli_fuzz.py --hypothesis-profile=ci
 """
@@ -30,6 +32,32 @@ example, given = hypothesis.example, hypothesis.given
 
 PAIRINGS = ("fb", "bb", "ff", "bf")
 GENERA = ("todd", "ahat", "bhat", "tdstar", "euler")
+
+# the fields of an exit-0 JSON answer that may be Infinity (and only those;
+# none may be NaN), as the README lists them; a list index reads as "[]"
+_MAY_BE_INFINITE = {
+    # stats: values beyond float range, and -ln Xi / beta or 1/(kB beta) for a tiny beta
+    ("per_level", "[]", "xi"), ("per_level", "[]", "occupation"), ("xi",), ("omega",),
+    ("mean_particle_number",), ("temperature",),
+    ("correspondence", "per_level", "[]", "character"),
+    ("correspondence", "per_level", "[]", "series"),
+    ("correspondence", "per_level", "[]", "ensemble"),
+    # spectral: Xi beyond float range, and running products of the pairings
+    ("xi_be",), ("xi_fd",),
+    *(("pairings", kind, mode) for kind in PAIRINGS for mode in ("exact", "nondegenerate")),
+}
+
+
+def _non_finite_fields(value, path=()):
+    """(path, value) of every float of a decoded JSON answer that is not finite."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite_fields(item, path + (key,))
+    elif isinstance(value, list):
+        for item in value:
+            yield from _non_finite_fields(item, path + ("[]",))
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield path, value
 
 
 def _run(argv, files=()):
@@ -54,6 +82,9 @@ def _run(argv, files=()):
     if code == 1:
         failed = "FAIL" in out.getvalue() or '"ok": false' in out.getvalue()
         assert failed and ("verify" in argv or "--check-correspondence" in argv), argv
+    if code == 0 and out.getvalue().startswith(("{", "[")):
+        for path, value in _non_finite_fields(json.loads(out.getvalue())):
+            assert path in _MAY_BE_INFINITE and value == value, (argv, path, value)
     return code, out.getvalue()
 
 
@@ -187,3 +218,26 @@ def test_be_levels_above_mu_exit_0(xs, fmt):
     system = {"levels": xs, "mu": 0.0, "beta": 1.0, "statistics": "BE"}
     code, _ = _run(["--format", fmt, "stats", "input"], [("input", json.dumps(system))])
     assert code == 0, xs
+
+
+def _levels(levels, statistics, beta=1.0):
+    return {"levels": levels, "mu": 0.0, "beta": beta, "statistics": statistics}
+
+
+# one request for each way a listed field reaches Infinity
+_INFINITE_REQUESTS = [
+    (["stats", "input"], _levels([1e-310, 1.0], "BE")),
+    (["stats", "input"], _levels([1.0], "FD", beta=1e-310)),
+    (["stats", "input", "--check-correspondence"], _levels([-800.0, 1.0], "FD")),
+    (["spectral", "input"], {"form": "finite", "eigenvalues": [1e16] * 25 + [1e-16] * 25}),
+    (["spectral", "input"], {"form": "affine", "a": 0.001, "c": 2.0}),
+]
+
+
+def test_every_listed_field_can_be_infinite():
+    seen = set()
+    for argv, payload in _INFINITE_REQUESTS:
+        code, out = _run(["--format", "json", *argv], [("input", json.dumps(payload))])
+        assert code == 0, argv
+        seen |= {path for path, _ in _non_finite_fields(json.loads(out))}
+    assert seen == _MAY_BE_INFINITE

@@ -122,6 +122,7 @@ def test_defaults():
         (lambda: RunConfig(degree=-1), "degree must be >= 0"),
         (lambda: RunConfig(degree=True), "degree must be an integer, got True"),
         (lambda: RunConfig(tolerance=0.0), "tolerance must be positive"),
+        (lambda: RunConfig(tolerance=float("inf")), "tolerance must be finite"),
         (lambda: RunConfig(fmt="xml"), "unknown format 'xml'"),
         (lambda: ChernPolynomial("todd", 1, 1), "unknown basis 'todd'"),
         (lambda: ChernPolynomial("chern", 2, 2, {(1,): 1}), "exponent tuple (1,) has wrong arity"),

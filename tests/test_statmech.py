@@ -3,11 +3,15 @@ import random
 
 import pytest
 
+from statindex.bundles import _LOG_MAX, _safe_exp, fock_character_value
 from statindex.statmech import (
     ConvergenceError,
     LevelSystem,
     TailBoundError,
     _be_logs,
+    _be_occupations,
+    _fd_logs,
+    _fd_occupations,
     bose_geometric_sum,
     correspondence_check,
     grand_ensemble,
@@ -54,6 +58,67 @@ def test_occupation_far_above_mu_underflows(statistics):
     )
     assert report.per_level_occupation[1:] == (tail, 0.0)
     assert report.per_level_occupation[0] == occupation(statistics, 1.0)
+    # up to _LOG_MAX the closed form is kept, one float above it e^{-x}
+    above = math.nextafter(_LOG_MAX, math.inf)
+    assert occupation(statistics, above) == math.exp(-above)
+    assert occupation(statistics, _LOG_MAX) == 1.0 / (
+        math.expm1(_LOG_MAX) if statistics == "BE" else math.exp(_LOG_MAX) + 1.0
+    )
+
+
+def test_log_max_is_where_exp_and_expm1_overflow():
+    assert _LOG_MAX == math.log(1.7976931348623157e308)
+    assert math.isfinite(math.exp(_LOG_MAX)) and math.isfinite(math.expm1(_LOG_MAX))
+    above = math.nextafter(_LOG_MAX, math.inf)
+    for function in (math.exp, math.expm1):
+        with pytest.raises(OverflowError):
+            function(above)
+    assert _safe_exp(_LOG_MAX) == math.exp(_LOG_MAX)
+    assert _safe_exp(above) == math.inf
+    assert math.isnan(_safe_exp(math.nan))
+
+
+def _closed_form_or(value, fallback):
+    """value(), or fallback() where value() raises OverflowError: the rule
+    by which every per-level value was once decided."""
+    try:
+        return value()
+    except OverflowError:
+        return fallback()
+
+
+# _LOG_MAX, its neighbours, and points well past it, on both sides of 0
+_EDGE = (math.nextafter(_LOG_MAX, 0.0), _LOG_MAX, math.nextafter(_LOG_MAX, math.inf),
+         720.0, 800.0)
+_THRESHOLD_GRID = _EDGE + tuple(-x for x in _EDGE)
+
+
+@pytest.mark.parametrize("x", _THRESHOLD_GRID)
+def test_per_level_values_at_the_overflow_threshold(x):
+    exp, expm1, inf = math.exp, math.expm1, math.inf
+    fd_xi = _closed_form_or(lambda: 1.0 + exp(-x), lambda: inf)
+    fd_n = _closed_form_or(lambda: 1.0 / (exp(x) + 1.0), lambda: exp(-x))
+    assert occupation("FD", x) == fd_n
+    assert level_partition("FD", x) == fd_xi
+    assert fock_character_value("FD", -x) == fd_xi
+    expected = {"FD": (fd_xi, fd_n)}
+    if x > 0:
+        be_n = _closed_form_or(lambda: 1.0 / expm1(x), lambda: exp(-x))
+        assert occupation("BE", x) == be_n
+        be_xi = 1.0 / -expm1(-x)
+        assert level_partition("BE", x) == fock_character_value("BE", -x) == be_xi
+        expected["BE"] = (be_xi, be_n)
+    for statistics, (xi, n) in expected.items():
+        system = LevelSystem(levels=(x,), mu=0.0, beta=1.0, statistics=statistics)
+        report = grand_ensemble(system)
+        log_xi = log_level_partition(statistics, x)
+        assert report.per_level_xi == (_closed_form_or(lambda: exp(log_xi), lambda: inf),)
+        assert report.per_level_occupation == (n,)
+        check = correspondence_check(system, ensemble=report)
+        assert check.character_values == check.ensemble_values == (xi,)
+        if statistics == "FD":
+            assert check.series_values == (xi,)
+        assert check.ok
 
 
 def test_be_levels_just_above_mu_have_finite_logs():
@@ -88,6 +153,37 @@ def test_be_log_kernel_accuracy_budget():
     for x, got in zip(grid, _be_logs(grid)):
         expected = _be_log_reference(x, mpmath)
         bound = 3e-16 * expected if x <= 708.0 else mpmath.mpf(2.5e-324)
+        assert abs(got - expected) <= bound, x
+
+
+def _kernel_reference(kernel, x, mpmath):
+    """1/(e^x - 1), 1/(e^x + 1) or ln(1 + e^{-x}) to 50 digits, with the
+    digits that e^x - 1 and 1 + e^{-x} cancel added to the working precision."""
+    with mpmath.workdps(55 + max(0, -math.log10(abs(x))) + abs(x) / math.log(10)):
+        e = mpmath.exp(mpmath.mpf(x))
+        if kernel is _be_occupations:
+            return 1 / (e - 1)
+        if kernel is _fd_occupations:
+            return 1 / (e + 1)
+        return mpmath.log(1 + 1 / e)
+
+
+@pytest.mark.parametrize("kernel", [_be_occupations, _fd_occupations, _fd_logs],
+                         ids=["be-occupations", "fd-occupations", "fd-logs"])
+def test_occupation_and_fd_log_kernel_accuracy_budget(kernel):
+    # relative error at most 3e-16 up to x = 708.39, where the value is a
+    # normal float; beyond it the value is subnormal (or 0) and within 5e-324
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(18)
+    grid = [math.exp(rng.uniform(math.log(1e-17), math.log(745.5))) for _ in range(600)]
+    grid += [rng.uniform(0.0, 8.0) for _ in range(150)] + [rng.uniform(708.0, 746.0)
+                                                          for _ in range(150)]
+    grid += [1e-300, 40.0, 708.39, 708.4] + list(_EDGE)
+    if kernel is not _be_occupations:
+        grid += [-x for x in grid]
+    for x, got in zip(grid, kernel(grid)):
+        expected = _kernel_reference(kernel, x, mpmath)
+        bound = 3e-16 * abs(expected) if x <= 708.39 else mpmath.mpf(5e-324)
         assert abs(got - expected) <= bound, x
 
 
