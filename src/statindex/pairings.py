@@ -47,8 +47,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import exp as _fexp, factorial
-from typing import List, Optional, Sequence, Tuple, Union
+from math import factorial
+from typing import List, Optional, Tuple, Union
 
 from ._record import Record, store
 from .series import (
@@ -129,7 +129,10 @@ def _lower_root(power: int, exp_coeff: Fraction, bose: int, fermi: int, D: int) 
 
 
 class FactorExpression:
-    """Canonical factored product over roots x_1..x_l with a rational scalar."""
+    """Canonical factored product over roots x_1..x_l with a rational scalar.
+
+    It is symbolic only: ``spectral`` takes products over eigenvalues from
+    the exponents of the one-root form, never by evaluating it."""
 
     def __init__(self, l: int):
         if l < 1:
@@ -220,28 +223,6 @@ class FactorExpression:
         if any(f != first for f in self.factors):
             raise ValueError("roots carry different factors")
         return _lower_root(first.power, first.exp_coeff, first.bose, first.fermi, D)
-
-    def evaluate(self, values: Sequence[float], nondegenerate: bool = False) -> float:
-        """Numeric value with root i set to values[i] (spectral pairings)."""
-        if len(values) != self.n_roots:
-            raise ValueError("need one value per root")
-        out = float(self.scalar)
-        for f, lam in zip(self.factors, values):
-            out *= lam ** f.power
-            if f.exp_coeff:
-                out *= _fexp(float(f.exp_coeff) * lam)
-            if not nondegenerate:
-                if f.bose:
-                    base = 1.0 - _fexp(-lam)
-                    if not base and f.bose < 0:
-                        raise ValueError(
-                            f"eigenvalue {lam!r} is too small: 1 - exp(-{lam!r}) "
-                            "rounds to 0 and cannot be inverted"
-                        )
-                    out *= base ** f.bose
-                if f.fermi:
-                    out *= (1.0 + _fexp(-lam)) ** f.fermi
-        return out
 
     def canonical_string(self) -> str:
         variables = root_variables(self.n_roots)

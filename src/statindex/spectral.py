@@ -16,12 +16,14 @@ Euler-Maclaurin route (numerical differentiation of the continued zeta
 function, Bernoulli corrections from the exact series core) guards the
 closed form against sign and convention slips.
 
-The four pairings are the pairings module's densities (``pairing_density``)
-evaluated with eigenvalues as numeric root values.  Its bb and bf densities
-pair every root x with -x, and in canonical form the pair reduces to the
-same per-root factor as the squared de-Rham/Todd convention that the
-grading identification lambda_i^+ = lambda_i^- produces, so one density
-serves both.
+Every product over a finite spectrum is exp of a combination of three
+fsums: sum ln lambda, ln Xi_BE and ln Xi_FD.  A pairing's one-root density
+(``pairing_density(kind, 1, mode)``) is lambda^p (1 - e^{-lambda})^b
+(1 + e^{-lambda})^f, so its product is exp(p sum ln lambda - b ln Xi_BE +
+f ln Xi_FD): fb exact is det Xi_BE Xi_FD, bf exact det / (Xi_BE Xi_FD)^2,
+and the other six values det.  The bb and bf densities pair every root x
+with -x; in canonical form the pair is the per-root factor of the squared
+de-Rham/Todd convention that the grading lambda_i^+ = lambda_i^- gives.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from ._record import Record, store
 from .series import bernoulli_numbers
 from .bundles import _safe_exp
 from .statmech import _KERNELS, TailBoundError, _require_keys, _to_float, _to_floats
-from .pairings import PAIRING_KINDS, pairing_density
+from .pairings import MODES, PAIRING_KINDS, pairing_density
 
 __all__ = [
     "SpectralPairReport",
@@ -159,28 +161,23 @@ def xi_formal(spec: SpectrumSpec, statistics: str, tol: float = 1e-13) -> float:
 
 
 def spinor_type_character(spec: SpectrumSpec) -> float:
-    """prod (e^{lambda/2} + e^{-lambda/2}) over a finite spectrum."""
+    """prod (e^{lambda/2} + e^{-lambda/2}) = exp(sum lambda / 2 + ln Xi_FD)
+    over a finite spectrum; Infinity beyond float range."""
     if spec.form != "finite":
         raise ValueError("the spinor-type character is defined for finite spectra")
-    out = 1.0
-    for lam in spec.eigenvalues:
-        out *= math.exp(lam / 2.0) + math.exp(-lam / 2.0)
-    return out
+    return _safe_exp(0.5 * math.fsum(spec.eigenvalues) + xi_formal(spec, "FD"))
 
 
 def de_rham_type_character(spec: SpectrumSpec) -> float:
-    """prod (1 - e^{-lambda}) over all modes.
+    """prod (1 - e^{-lambda}) = exp(-ln Xi_BE) over all modes.
 
     With a declared grading the given eigenvalues are the positive sector
     and the identification lambda^+ = lambda^- doubles every factor, so the
-    product is squared; without it the given eigenvalues are all modes.
+    exponent is doubled; without it the given eigenvalues are all modes.
     """
     if spec.form != "finite":
         raise ValueError("the de-Rham-type character is defined for finite spectra")
-    single = 1.0
-    for lam in spec.eigenvalues:
-        single *= -math.expm1(-lam)
-    return single * single if spec.graded else single
+    return math.exp(-(2.0 if spec.graded else 1.0) * xi_formal(spec, "BE"))
 
 
 # -- certified log-gamma and Euler-Maclaurin zeta -------------------------------
@@ -287,18 +284,32 @@ def formal_euler_class(spec: SpectrumSpec) -> float:
 # -- formal pairings -------------------------------------------------------------
 
 
-def formal_pairing(spec: SpectrumSpec, kind: str, mode: str = "exact") -> float:
-    """Numeric pairing density of a finite spectrum.
+def _log_sums(eigenvalues: Sequence[float]) -> Tuple[float, float, float]:
+    """(sum ln lambda, ln Xi_BE, ln Xi_FD), each by one fsum."""
+    return (math.fsum(map(math.log, eigenvalues)),
+            math.fsum(_KERNELS["BE"][0](eigenvalues)),
+            math.fsum(_KERNELS["FD"][0](eigenvalues)))
 
-    ff and bb collapse to the plain eigenvalue product identically; fb and
-    bf carry (1 -+ e^{-lambda}) correction factors that the nondegenerate
-    substitution removes.  Affine spectra would need each infinite factor
-    regularized separately and are out of scope here.  The density is the
-    pairings module's ``pairing_density``, evaluated at the eigenvalues.
-    """
+
+def _pairing_value(log_sums: Tuple[float, float, float], kind: str, mode: str) -> float:
+    """exp(p ln det - b ln Xi_BE + f ln Xi_FD); the small integer multiples
+    are exact, so the exponent is rounded once."""
+    root = pairing_density(kind, 1, mode).factors[0]
+    log_det, log_xi_be, log_xi_fd = log_sums
+    return _safe_exp(math.fsum((root.power * log_det, -root.bose * log_xi_be,
+                                root.fermi * log_xi_fd)))
+
+
+def formal_pairing(spec: SpectrumSpec, kind: str, mode: str = "exact") -> float:
+    """Product of the pairing's one-root density over a finite spectrum,
+    exp(p sum ln lambda - b ln Xi_BE + f ln Xi_FD), whatever the order of
+    the eigenvalues.  A normal value is within 2u (sum |ln lambda| +
+    |b| ln Xi_BE + |f| ln Xi_FD + 2) relative, u = 2^-53; fb exact reads
+    Infinity beyond float range.  Affine spectra would need each infinite
+    factor regularized separately."""
     if spec.form != "finite":
         raise ValueError("formal pairings are defined for finite spectra")
-    return pairing_density(kind, len(spec.eigenvalues), mode).evaluate(spec.eigenvalues)
+    return _pairing_value(_log_sums(spec.eigenvalues), kind, mode)
 
 
 class SpectralPairReport(Record):
@@ -336,22 +347,24 @@ class SpectralPairReport(Record):
 
 
 def build_spectral_report(spec: SpectrumSpec, tol: float = 1e-13) -> SpectralPairReport:
-    """Everything the spectrum determines, in one report."""
+    """Everything the spectrum determines, in one report; a finite
+    spectrum's three log sums are taken once."""
     pairings: Optional[Dict[str, Dict[str, float]]] = None
     if spec.form == "finite":
+        log_det, log_xi_be, log_xi_fd = log_sums = _log_sums(spec.eigenvalues)
+        determinant = math.exp(log_det)
         pairings = {
-            kind: {
-                "exact": formal_pairing(spec, kind, "exact"),
-                "nondegenerate": formal_pairing(spec, kind, "nondegenerate"),
-            }
+            kind: {mode: _pairing_value(log_sums, kind, mode) for mode in MODES}
             for kind in PAIRING_KINDS
         }
-    determinant = zeta_det(spec)
+    else:
+        log_xi_be, log_xi_fd = xi_formal(spec, "BE", tol), xi_formal(spec, "FD", tol)
+        determinant = zeta_det(spec)
     return SpectralPairReport(
         spec=spec,
         chern_character=formal_chern_character(spec, tol),
-        log_xi_be=xi_formal(spec, "BE", tol),
-        log_xi_fd=xi_formal(spec, "FD", tol),
+        log_xi_be=log_xi_be,
+        log_xi_fd=log_xi_fd,
         determinant=determinant,
         # the formal Euler class is the regularized product: the determinant
         euler_class=determinant,

@@ -232,7 +232,9 @@ class LevelSystem(Record):
 
     @property
     def temperature(self) -> float:
-        return 1.0 / (self.kB * self.beta)
+        """1/(kB*beta); Infinity where kB*beta underflows to 0."""
+        kt = self.kB * self.beta
+        return 1.0 / kt if kt else math.inf
 
     def thermo_arguments(self) -> Tuple[float, ...]:
         """x_i = alpha + beta*eps_i = beta*(eps_i - mu)."""

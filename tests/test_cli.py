@@ -310,10 +310,9 @@ _WIDE = ",".join(repr(0.1 + 9.9 * (k + 0.5) / 1000) for k in range(1000))
     "argv, payload",
     [
         (["zeta-det", "--finite", _WIDE], None),
-        (["spectral", "{path}"], {"form": "finite", "eigenvalues": [1e-320]}),
         (["zeta-det", "--affine", "1", "1e300"], None),
     ],
-    ids=["finite-det-overflow", "subnormal-eigenvalue", "huge-affine-c"],
+    ids=["finite-det-overflow", "huge-affine-c"],
 )
 def test_arithmetic_errors_exit_2(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"
@@ -465,13 +464,32 @@ def test_mistyped_config_values_exit_2(tmp_path, capsys, config, named):
     assert err.startswith("error: ") and named in err
 
 
-@pytest.mark.parametrize("eigenvalue", [1e-17, 1e-320])
-def test_eigenvalue_too_small_to_invert_is_named(tmp_path, capsys, eigenvalue):
+@pytest.mark.parametrize("eigenvalue", [5e-4, 1e-17, 1e-320])
+def test_eigenvalue_below_cancellation_has_its_pairings(tmp_path, capsys, eigenvalue):
+    # 1 - e^{-lambda} rounds to 0 below about 1.1e-16, yet each factor is
+    # finite: fb exact is lambda / tanh(lambda/2) -> 2 and bf exact
+    # lambda tanh^2(lambda/2) -> 0, each within 2u (|ln lambda| + |b| ln Xi_BE
+    # + |f| ln Xi_FD + 2)
     path = tmp_path / "input.json"
-    path.write_text(json.dumps({"form": "finite", "eigenvalues": [2.0, eigenvalue]}))
-    code, out, err = run(capsys, "spectral", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: eigenvalue {eigenvalue!r} is too small")
+    path.write_text(json.dumps({"form": "finite", "eigenvalues": [eigenvalue]}))
+    code, out, err = run(capsys, "--format", "json", "spectral", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    t = math.tanh(eigenvalue / 2.0)
+    sums = abs(math.log(eigenvalue)), report["log_xi_be"], report["log_xi_fd"]
+    for kind, want, (abs_b, abs_f) in (("fb", eigenvalue / t, (1, 1)),
+                                        ("bf", eigenvalue * t * t, (2, 2))):
+        budget = 2.0**-52 * (sums[0] + abs_b * sums[1] + abs_f * sums[2] + 2.0)
+        assert abs(report["pairings"][kind]["exact"] - want) <= budget * want, kind
+
+
+def test_underflowing_kb_beta_reads_infinite_temperature(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"levels": [1.0], "mu": 0, "beta": 1e-200, "kB": 1e-200,
+                                "statistics": "FD"}))
+    code, out, err = run(capsys, "--format", "json", "stats", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["temperature"] == math.inf
 
 
 @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])

@@ -7,9 +7,10 @@ request whose output reports the failed check.  Requests with an answer in
 float range must exit 0: a log-balanced finite spectrum (eigenvalues
 e^{t_i - mean t}, whose product is near 1) and BE levels at x down to
 1e-300.  Every float of an exit-0 JSON answer is finite, except in the
-fields that the README lists as possibly Infinity.  Tier-1 runs the
-default profile's few seconds of examples; the ``ci`` profile runs ten
-times as many:
+fields that the README lists as possibly Infinity, and a finite spectrum's
+``spectral`` answer does not depend on the order of its eigenvalues.
+Tier-1 runs the default profile's few seconds of examples; the ``ci``
+profile runs ten times as many:
 
     python -m pytest -q tests/test_cli_fuzz.py --hypothesis-profile=ci
 """
@@ -18,6 +19,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import tempfile
 from pathlib import Path
 
@@ -42,9 +44,10 @@ _MAY_BE_INFINITE = {
     ("correspondence", "per_level", "[]", "character"),
     ("correspondence", "per_level", "[]", "series"),
     ("correspondence", "per_level", "[]", "ensemble"),
-    # spectral: Xi beyond float range, and running products of the pairings
-    ("xi_be",), ("xi_fd",),
-    *(("pairings", kind, mode) for kind in PAIRINGS for mode in ("exact", "nondegenerate")),
+    # spectral: Xi beyond float range, and fb exact = det Xi_BE Xi_FD; the
+    # other pairing values are at most the determinant, which exits 2 when
+    # it overflows
+    ("xi_be",), ("xi_fd",), ("pairings", "fb", "exact"),
 }
 
 
@@ -222,6 +225,34 @@ def test_be_levels_above_mu_exit_0(xs, fmt):
 
 def _levels(levels, statistics, beta=1.0):
     return {"levels": levels, "mu": 0.0, "beta": beta, "statistics": statistics}
+
+
+# 25 eigenvalues of 1e16 and 25 of 1e-16: the determinant is 1, while a
+# product taken factor by factor overflows or underflows, by the order
+_ORDER_SENSITIVE = [1e16] * 25 + [1e-16] * 25
+_eigenvalue = st.floats(-320.0, 20.0).map(lambda k: 10.0 ** k)
+
+
+@example(eigenvalues=_ORDER_SENSITIVE, seed=0)
+@example(eigenvalues=_ORDER_SENSITIVE[::-1], seed=0)
+@given(st.lists(_eigenvalue, min_size=1, max_size=40), st.integers(0, 2**32))
+def test_spectral_output_does_not_depend_on_eigenvalue_order(eigenvalues, seed):
+    # text stdout is byte-identical; JSON also echoes the eigenvalue list,
+    # so every other field's bytes are compared
+    shuffled = list(eigenvalues)
+    random.Random(seed).shuffle(shuffled)
+    for fmt in ("text", "json"):
+        outputs = set()
+        for order in (eigenvalues, eigenvalues[::-1], shuffled):
+            spectrum = {"form": "finite", "eigenvalues": order}
+            code, out = _run(["--format", fmt, "spectral", "input"],
+                             [("input", json.dumps(spectrum))])
+            if code == 0 and fmt == "json":
+                report = json.loads(out)
+                assert report.pop("spectrum")["eigenvalues"] == order
+                out = json.dumps(report, sort_keys=True)
+            outputs.add((code, out))
+        assert len(outputs) == 1, (eigenvalues, seed, fmt)
 
 
 # one request for each way a listed field reaches Infinity

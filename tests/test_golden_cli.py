@@ -12,8 +12,13 @@ each closer to its exact partial sum.  The ``be-near-mu`` stats rows and the
 ``finite-spread`` spectral rows were captured again when the BE log kernel
 took -ln(-expm1(-x)) for every x <= ln 2, which moved 13 values (the
 levels at x = 1e-9 and 1e-4, the totals over them, and ln Xi_BE of the
-eigenvalues 0.01 and 0.37), each closer to mpmath.  The
-index-wide group (tori, mixed products, cp8, cp10, cp4xcp4, every genus and
+eigenvalues 0.01 and 0.37), each closer to mpmath.  The four finite
+spectral cases were captured again when every pairing value became exp of
+one combination of sum ln lambda, ln Xi_BE and ln Xi_FD: 19 pairing values
+moved in text and JSON, 4 of them closer to mpmath (finite-spread fb exact
+5.7e-15 -> 1.1e-15, bf exact 1.1e-14 -> 1.4e-15) and 15 by 1-2 ulp, among
+them the six values per spectrum that now equal its ``determinant`` line.
+The index-wide group (tori, mixed products, cp8, cp10, cp4xcp4, every genus and
 twisted hrr) was captured while every index still went through the class
 polynomial, before the per-factor splitting route replaced it.
 Spectral cases are keyed by a label from ``SPECTRA`` and stats cases by a

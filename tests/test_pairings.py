@@ -299,16 +299,6 @@ def test_root_factor_matches_literal_todd_factor():
     assert todd.root_factor(6) == generating_series("todd", 6).rename({"x": "x1"})
 
 
-def test_factor_expression_numeric_evaluation():
-    import math
-
-    expr = pairing_density("fb", 1)
-    lam = math.log(2.0)
-    value = expr.evaluate([lam])
-    assert abs(value - lam * (1 + 0.5) / (1 - 0.5)) < 1e-15
-    assert abs(expr.evaluate([lam], nondegenerate=True) - lam) < 1e-16
-
-
 def test_truncation_too_low_for_index():
     with pytest.raises(ValueError):
         pairing_index("ff", "cp3", "exact", D=2)

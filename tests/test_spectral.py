@@ -1,8 +1,10 @@
 import math
 import random
+import sys
 
 import pytest
 
+from statindex.pairings import pairing_density
 from statindex.statmech import LevelSystem, TailBoundError, grand_ensemble
 from statindex.spectral import (
     SpectrumSpec,
@@ -236,6 +238,65 @@ def test_ff_scale_consistency():
         base = formal_pairing(SpectrumSpec.finite(eigs), "ff")
         scaled = formal_pairing(SpectrumSpec.finite([scale * e for e in eigs]), "ff")
         assert scaled == pytest.approx(scale**n * base, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["exact", "nondegenerate"])
+@pytest.mark.parametrize("kind", ["fb", "bb", "ff", "bf"])
+def test_one_root_densities_are_read_from_three_log_sums(kind, mode):
+    # scalar 1 and no e^{sx} factor: lambda^p (1 - e^{-lambda})^b
+    # (1 + e^{-lambda})^f is all a one-root density holds, so sum ln lambda,
+    # ln Xi_BE and ln Xi_FD give every product over the spectrum
+    density = pairing_density(kind, 1, mode)
+    assert density.scalar == 1
+    assert density.factors[0].exp_coeff == 0
+
+
+_SPECTRA = [[1.0, 2.0, 3.0], [0.693], [0.25, 1.5, 4.0, 9.75], [0.01, 0.37, 2.2, 13.0, 41.5],
+            [5e-4], [1e-320, 2.0], [1e16] * 25 + [1e-16] * 25, _log_balanced(5, 3000, 8.0)]
+
+
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("eigs", _SPECTRA, ids=range(len(_SPECTRA)))
+def test_determinant_valued_pairings_equal_it_bit_for_bit(eigs, graded):
+    report = build_spectral_report(SpectrumSpec.finite(eigs, graded=graded))
+    values = [report.pairings[kind][mode] for kind in ("ff", "bb")
+              for mode in ("exact", "nondegenerate")]
+    values += [report.pairings[kind]["nondegenerate"] for kind in ("fb", "bf")]
+    assert values == [report.determinant] * 6
+
+
+def _budget_spectra():
+    """Seeded log-balanced spectra of 1 to 3,000 eigenvalues, and spectra
+    where 1 - e^{-lambda} cancels or rounds to 0."""
+    rng = random.Random(59)
+    spectra = [_log_balanced(seed, round(10 ** rng.uniform(0.0, math.log10(3000.0))),
+                             rng.uniform(0.5, 12.0)) for seed in range(60)]
+    spectra += [[5e-4], [1e-17], [1e-320, 2.0], [3e-9, 0.02, 700.0], [0.01, 0.37, 2.2, 13.0]]
+    return spectra
+
+
+def test_formal_pairing_accuracy_budget():
+    # every normal pairing value within 2u (sum |ln lambda| + |b| ln Xi_BE
+    # + |f| ln Xi_FD + 2) of mpmath at 40 digits, also where 1 - e^{-lambda}
+    # cancels (5e-4) or rounds to 0 (1e-17, 1e-320)
+    mpmath = pytest.importorskip("mpmath")
+    exponents = {"fb": (-1, 1), "bf": (2, -2), "ff": (0, 0), "bb": (0, 0)}
+    for eigs in _budget_spectra():
+        report = build_spectral_report(SpectrumSpec.finite(eigs))
+        with mpmath.workdps(40):
+            log_det = mpmath.fsum(map(mpmath.log, eigs))
+            log_be = -mpmath.fsum(mpmath.log(-mpmath.expm1(-x)) for x in eigs)
+            log_fd = mpmath.fsum(mpmath.log1p(mpmath.exp(-x)) for x in eigs)
+            abs_log_det = math.fsum(abs(math.log(x)) for x in eigs)
+            for kind, exact in exponents.items():
+                for mode, (b, f) in (("exact", exact), ("nondegenerate", (0, 0))):
+                    got = report.pairings[kind][mode]
+                    if not sys.float_info.min <= got < math.inf:
+                        continue
+                    expected = mpmath.exp(log_det - b * log_be + f * log_fd)
+                    budget = 2.0**-52 * (abs_log_det + abs(b) * report.log_xi_be
+                                         + abs(f) * report.log_xi_fd + 2.0)
+                    assert abs(got / expected - 1) <= budget, (len(eigs), kind, mode)
 
 
 def test_pairings_restricted_to_finite_spectra():
