@@ -483,6 +483,32 @@ def test_eigenvalue_below_cancellation_has_its_pairings(tmp_path, capsys, eigenv
         assert abs(report["pairings"][kind]["exact"] - want) <= budget * want, kind
 
 
+@pytest.mark.parametrize("eigenvalue", [1e-17, 1e-320])
+def test_tiny_eigenvalue_beside_a_normal_one_reads_in_text(tmp_path, capsys, eigenvalue):
+    # the pairings are products over the spectrum: beside lambda = 2 the tiny
+    # factor still answers, fb exact (2 / tanh 1) (lambda / tanh(lambda/2))
+    # and bf exact (2 tanh^2 1) (lambda tanh^2(lambda/2)), the latter 0 at 1e-320
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"form": "finite", "eigenvalues": [2.0, eigenvalue]}))
+    code, out, err = run(capsys, "spectral", str(path))
+    assert (code, err) == (0, "")
+    rows = {}
+    for line in out.splitlines():
+        head, _, rest = line.partition("  ")
+        rows[head.strip()] = rest.split()
+    assert rows["spectrum"] == ["finite"]
+    t1, t = math.tanh(1.0), math.tanh(eigenvalue / 2.0)
+    sums = (math.log(2.0) + abs(math.log(eigenvalue)), float(rows["ln Xi_BE"][0]),
+            float(rows["ln Xi_FD"][0]))
+    for kind, want, (abs_b, abs_f) in (("fb", (2.0 / t1) * (eigenvalue / t), (1, 1)),
+                                        ("bf", (2.0 * t1 * t1) * (eigenvalue * t * t),
+                                         (2, 2))):
+        exact = rows[f"pairing {kind}"]
+        assert exact[0] == "exact", kind
+        budget = 2.0**-52 * (sums[0] + abs_b * sums[1] + abs_f * sums[2] + 2.0)
+        assert abs(float(exact[1]) - want) <= budget * want, kind
+
+
 def test_underflowing_kb_beta_reads_infinite_temperature(tmp_path, capsys):
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"levels": [1.0], "mu": 0, "beta": 1e-200, "kB": 1e-200,
