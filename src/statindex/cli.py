@@ -8,18 +8,21 @@ digits, and identical inputs always produce byte-identical output.  JSON
 output (``--format json``) is byte-identical to
 ``json.dumps(payload, indent=2, sort_keys=True)``; one small writer emits it
 for every command, because the standard library falls back to its
-pure-Python encoder whenever an indent is set.  The argparse tree is built
-on the first ``main()`` call and reused by every later call in the
-process.
+pure-Python encoder whenever an indent is set.  The grammar is declared
+once, as a table of ``add_argument`` calls.  ``main()`` first reads the
+command line with a small exact parser driven by that table; only a line
+it declines (help, an abbreviation, ``--opt=value``, any usage error) goes
+to the argparse tree built from the same table, which is built on the
+first such call and reused by every later one in the process.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
 from ._record import Record
@@ -187,11 +190,79 @@ def _emit_json(payload) -> None:
     sys.stdout.write(_json_text(payload) + "\n")
 
 
+def _arg(*names: str, **kwargs):
+    return names, kwargs
+
+
+# The command-line grammar, declared once: the ``add_argument`` names and
+# keyword arguments of the global options and of each subcommand, in order.
+# A list holds the members of a required mutually exclusive group.
+_GLOBAL_ARGS = (
+    _arg("--config", help="JSON config file; flags override its keys"),
+    _arg("--degree", type=int, help="series truncation degree"),
+    _arg("--format", choices=FORMATS, dest="fmt", help="output format"),
+    _arg("--tolerance", type=float, help="numeric tolerance"),
+)
+_COMMANDS = {
+    "genus": ("genus polynomials and genus numbers", (
+        _arg("kind", choices=GENUS_KINDS),
+        [
+            _arg("--degree", type=int, dest="genus_degree",
+                 help="print the degree-homogeneous class polynomial"),
+            _arg("--manifold", help="evaluate the genus on a catalog manifold"),
+        ],
+    )),
+    "index": ("index pairings on catalog manifolds", (
+        _arg("pairing", choices=PAIRING_KINDS + ("hrr",)),
+        _arg("manifold"),
+        _arg("--mode", choices=("exact", "nondegenerate"), default="exact"),
+        _arg("--bundle",
+             help="line bundle for hrr, e.g. O(3) or O(1,2) (one integer per generator)"),
+    )),
+    "verify": ("dual-route identity verification", (
+        _arg("kind", nargs="?", choices=PAIRING_KINDS),
+        _arg("--all", action="store_true", help="verify all four pairings"),
+        _arg("--l", type=int, default=2, dest="roots", help="number of roots"),
+        _arg("--degree", type=int, dest="verify_degree",
+             help="series truncation (default 2l+4)"),
+    )),
+    "stats": ("grand canonical ensemble report", (
+        _arg("input", help="JSON file with {levels, mu, beta, statistics}"),
+        _arg("--check-correspondence", action="store_true",
+             help="also check Xi against the Fock-character routes"),
+    )),
+    "zeta-det": ("zeta-regularized spectral determinant", (
+        [
+            _arg("--finite", help="comma-separated eigenvalues, e.g. 1,2,3"),
+            _arg("--affine", nargs=2, type=float, metavar=("A", "C"),
+                 help="spectrum a*(n+c), n >= 0"),
+            _arg("--input", help="JSON SpectrumSpec file"),
+        ],
+    )),
+    "spectral": ("full spectral-pair report", (
+        _arg("input", help="JSON SpectrumSpec file"),
+    )),
+}
+
+
+def _add_arguments(parser, entries) -> None:
+    """``add_argument`` each grammar entry; a list becomes a required
+    mutually exclusive group."""
+    for entry in entries:
+        group = isinstance(entry, list)
+        target = parser.add_mutually_exclusive_group(required=True) if group else parser
+        for names, kwargs in entry if group else [entry]:
+            target.add_argument(*names, **kwargs)
+
+
 @lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built once per process.  Parsing keeps no state
-    in it: every call gets a fresh namespace, and no action appends to a
-    shared default."""
+def _build_parser():
+    """The argparse tree of the grammar, built once per process and only
+    for a command line that the fast parser declines.  Parsing keeps no
+    state in it: every call gets a fresh namespace, and no action appends
+    to a shared default."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="statindex",
         description=(
@@ -199,57 +270,103 @@ def _build_parser() -> argparse.ArgumentParser:
             "quantum-statistics generating functions."
         ),
     )
-    parser.add_argument("--config", help="JSON config file; flags override its keys")
-    parser.add_argument("--degree", type=int, help="series truncation degree")
-    parser.add_argument("--format", choices=FORMATS, dest="fmt", help="output format")
-    parser.add_argument("--tolerance", type=float, help="numeric tolerance")
+    _add_arguments(parser, _GLOBAL_ARGS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_genus = sub.add_parser("genus", help="genus polynomials and genus numbers")
-    p_genus.add_argument("kind", choices=GENUS_KINDS)
-    group = p_genus.add_mutually_exclusive_group(required=True)
-    group.add_argument("--degree", type=int, dest="genus_degree",
-                       help="print the degree-homogeneous class polynomial")
-    group.add_argument("--manifold", help="evaluate the genus on a catalog manifold")
-
-    p_index = sub.add_parser("index", help="index pairings on catalog manifolds")
-    p_index.add_argument("pairing", choices=PAIRING_KINDS + ("hrr",))
-    p_index.add_argument("manifold")
-    p_index.add_argument("--mode", choices=("exact", "nondegenerate"), default="exact")
-    p_index.add_argument(
-        "--bundle",
-        help="line bundle for hrr, e.g. O(3) or O(1,2) (one integer per generator)",
-    )
-
-    p_verify = sub.add_parser("verify", help="dual-route identity verification")
-    p_verify.add_argument("kind", nargs="?", choices=PAIRING_KINDS)
-    p_verify.add_argument("--all", action="store_true", help="verify all four pairings")
-    p_verify.add_argument("--l", type=int, default=2, dest="roots", help="number of roots")
-    p_verify.add_argument("--degree", type=int, dest="verify_degree",
-                          help="series truncation (default 2l+4)")
-
-    p_stats = sub.add_parser("stats", help="grand canonical ensemble report")
-    p_stats.add_argument("input", help="JSON file with {levels, mu, beta, statistics}")
-    p_stats.add_argument(
-        "--check-correspondence",
-        action="store_true",
-        help="also check Xi against the Fock-character routes",
-    )
-
-    p_zeta = sub.add_parser("zeta-det", help="zeta-regularized spectral determinant")
-    spec_group = p_zeta.add_mutually_exclusive_group(required=True)
-    spec_group.add_argument("--finite", help="comma-separated eigenvalues, e.g. 1,2,3")
-    spec_group.add_argument("--affine", nargs=2, type=float, metavar=("A", "C"),
-                            help="spectrum a*(n+c), n >= 0")
-    spec_group.add_argument("--input", help="JSON SpectrumSpec file")
-
-    p_spec = sub.add_parser("spectral", help="full spectral-pair report")
-    p_spec.add_argument("input", help="JSON SpectrumSpec file")
-
+    for command, (help_text, entries) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=help_text), entries)
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
+def _fast_grammar(entries):
+    """(positionals, options, defaults, groups) of one parser level: each
+    argument as (dest, kwargs), options keyed by option string, every
+    dest's default as argparse sets it, and the dests of each required
+    group."""
+    positionals, options, defaults, groups = [], {}, {}, []
+    for entry in entries:
+        group = isinstance(entry, list)
+        if group:
+            groups.append([])
+        for (name,), kwargs in entry if group else [entry]:
+            dest = kwargs.get("dest", name.lstrip("-").replace("-", "_"))
+            store_true = kwargs.get("action") == "store_true"
+            defaults[dest] = kwargs.get("default", False if store_true else None)
+            if name[0] == "-":
+                options[name] = dest, kwargs
+            else:
+                positionals.append((dest, kwargs))
+            if group:
+                groups[-1].append(dest)
+    return positionals, options, defaults, groups
+
+
+_, _GLOBAL_OPTIONS, _GLOBAL_DEFAULTS, _ = _fast_grammar(_GLOBAL_ARGS)
+_FAST_COMMANDS = {command: _fast_grammar(entries) for command, (_, entries) in _COMMANDS.items()}
+
+
+def _fast_value(kwargs, text: str):
+    """``text`` converted and checked as argparse would; ValueError for a
+    value the fast parser leaves to argparse."""
+    if text[:1] == "-":
+        raise ValueError(text)
+    value = kwargs.get("type", str)(text)
+    if value not in kwargs.get("choices", (value,)):
+        raise ValueError(text)
+    return value
+
+
+def _fast_options(options, argv: Sequence[str], at: int, values: dict, given: set) -> int:
+    """Read the options of one level from ``argv[at:]`` until a token that
+    does not start with ``-``; the index of that token, or an index past
+    the end of ``argv`` when the last option lacks values."""
+    while at < len(argv) and argv[at][:1] == "-":
+        dest, kwargs = options[argv[at]]
+        if dest in given:
+            raise ValueError(argv[at])
+        given.add(dest)
+        if kwargs.get("action") == "store_true":
+            values[dest] = True
+            at += 1
+            continue
+        count = kwargs.get("nargs", 1)
+        converted = [_fast_value(kwargs, text) for text in argv[at + 1:at + 1 + count]]
+        values[dest] = converted if "nargs" in kwargs else converted[0]
+        at += 1 + count
+    return at
+
+
+def _fast_parse(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives a well-formed command line, or None.
+
+    Accepted: global options before the command, the command's positionals
+    before its options, exact option strings given at most once, values
+    that do not start with ``-``, and exactly one member of each required
+    group.  Anything else, ``-h``, ``--opt=value``, abbreviations and ``--``
+    among it, is left to argparse, which also writes every error."""
+    values = dict(_GLOBAL_DEFAULTS)
+    try:
+        at = _fast_options(_GLOBAL_OPTIONS, argv, 0, values, set())
+        positionals, options, defaults, groups = _FAST_COMMANDS[argv[at]]
+        values["command"] = argv[at]
+        values.update(defaults)
+        at += 1
+        for dest, kwargs in positionals:
+            if at < len(argv) and argv[at][:1] != "-":
+                values[dest] = _fast_value(kwargs, argv[at])
+                at += 1
+            elif kwargs.get("nargs") != "?":
+                return None
+        given = set()
+        if _fast_options(options, argv, at, values, given) != len(argv):
+            return None
+    except (ValueError, IndexError, KeyError):
+        return None
+    if any(len(given.intersection(group)) != 1 for group in groups):
+        return None
+    return SimpleNamespace(**values)
+
+
+def _load_config(args: SimpleNamespace) -> RunConfig:
     values = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -270,7 +387,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _parse_spectrum(args: argparse.Namespace) -> SpectrumSpec:
+def _parse_spectrum(args: SimpleNamespace) -> SpectrumSpec:
     if getattr(args, "finite", None) is not None:
         eigenvalues = [float(part) for part in args.finite.split(",") if part.strip()]
         return SpectrumSpec.finite(eigenvalues)
@@ -301,7 +418,7 @@ def _parse_bundle(spec: str, model) -> RootModel:
     return RootModel.build(model.generators, model.complex_dim, [(root, 1)])
 
 
-def _cmd_genus(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_genus(args: SimpleNamespace, config: RunConfig) -> int:
     if args.genus_degree is not None:
         poly = genus_polynomial(args.kind, args.genus_degree)
         if config.fmt == "json":
@@ -319,7 +436,7 @@ def _cmd_genus(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_index(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_index(args: SimpleNamespace, config: RunConfig) -> int:
     model, tangent = catalog(args.manifold)
     if args.pairing == "hrr":
         bundle = _parse_bundle(args.bundle, model) if args.bundle else None
@@ -360,7 +477,7 @@ _TABLE_ROWS = (
 )
 
 
-def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_verify(args: SimpleNamespace, config: RunConfig) -> int:
     kinds = PAIRING_KINDS if args.all or args.kind is None else (args.kind,)
     # the subcommand's --degree wins over the global one (flag or config key)
     D = config.degree if args.verify_degree is None else args.verify_degree
@@ -389,7 +506,7 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     return 1
 
 
-def _cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_stats(args: SimpleNamespace, config: RunConfig) -> int:
     with open(args.input, "r", encoding="utf-8") as handle:
         system = LevelSystem.from_json_dict(json.load(handle))
     report = grand_ensemble(system)
@@ -419,7 +536,7 @@ def _cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
     return 0 if check is None or check.ok else 1
 
 
-def _cmd_zeta_det(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_zeta_det(args: SimpleNamespace, config: RunConfig) -> int:
     spec = _parse_spectrum(args)
     value = zeta_det(spec)
     if config.fmt == "json":
@@ -429,7 +546,7 @@ def _cmd_zeta_det(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_spectral(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_spectral(args: SimpleNamespace, config: RunConfig) -> int:
     spec = _parse_spectrum(args)
     report = build_spectral_report(spec, tol=config.tolerance)
     if config.fmt == "json":
@@ -462,8 +579,11 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_parse(argv)
+    if args is None:
+        args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
     try:
         config = _load_config(args)
         return _HANDLERS[args.command](args, config)

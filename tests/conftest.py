@@ -1,11 +1,12 @@
 """Hypothesis profiles for the property tests.
 
 ``default`` keeps tier-1 runs short; ``ci`` runs the series kernel's and
-the catalog routes' oracles and the CLI's exit-code fuzz ten times longer,
-with Hypothesis' own CI settings (derandomized, no example database):
+the catalog routes' oracles, the CLI's exit-code fuzz and the fast
+command-line parser's argparse oracle ten times longer, with Hypothesis'
+own CI settings (derandomized, no example database):
 
     python -m pytest -q tests/test_series_properties.py tests/test_catalog_routes.py \
-        tests/test_cli_fuzz.py --hypothesis-profile=ci
+        tests/test_cli_fuzz.py tests/test_cli_fastparse.py --hypothesis-profile=ci
 
 Tests that set ``max_examples`` themselves keep their own count.
 """

@@ -310,9 +310,11 @@ _WIDE = ",".join(repr(0.1 + 9.9 * (k + 0.5) / 1000) for k in range(1000))
     "argv, payload",
     [
         (["zeta-det", "--finite", _WIDE], None),
-        (["zeta-det", "--affine", "1", "1e300"], None),
+        # (1/2 - c) ln a overflows, alone or against ln Gamma(c) = inf
+        (["zeta-det", "--affine", "5e-324", "2.5e305"], None),
+        (["spectral", "{path}"], {"form": "affine", "a": 1e-300, "c": 1e306}),
     ],
-    ids=["finite-det-overflow", "huge-affine-c"],
+    ids=["finite-det-overflow", "affine-power-overflow", "affine-inf-minus-inf"],
 )
 def test_arithmetic_errors_exit_2(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"
@@ -321,6 +323,13 @@ def test_arithmetic_errors_exit_2(tmp_path, capsys, argv, payload):
     code, _, err = run(capsys, *(arg.format(path=path) for arg in argv))
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("c", ["2e18", "1e300", "1.7976931348623157e308"])
+def test_huge_affine_c_answers(capsys, c):
+    # ln Gamma(c) is finite up to about c = 2.56e305 and inf beyond it; the
+    # determinant a^{1/2-c} sqrt(2 pi) / Gamma(c) underflows to 0 either way
+    assert run(capsys, "zeta-det", "--affine", "1", c) == (0, "0\n", "")
 
 
 @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])

@@ -168,10 +168,15 @@ def test_log_gamma_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(41)
     points = [10 ** rng.uniform(-4.0, 4.0) for _ in range(200)] + [1e-300, 5e-324, 1e12]
+    # 1e18 up to max float, where the Stirling terms' powers of x would
+    # overflow; ln Gamma itself passes max float (inf) from about 2.56e305
+    points += [10 ** rng.uniform(18.0, 308.0) for _ in range(100)]
+    points += [1e18, 1.35e18, 2e18, 2.555e305, 2.558e305, 1e308, sys.float_info.max]
     for x in points:
         with mpmath.workdps(30):
             expected = float(mpmath.loggamma(x))
-        assert abs(log_gamma(x) - expected) < 1e-13 * max(1.0, abs(expected)), x
+        value = log_gamma(x)
+        assert value == expected or abs(value - expected) < 1e-13 * max(1.0, abs(expected)), x
 
 
 def test_hurwitz_zeta_against_mpmath():
