@@ -149,7 +149,7 @@ def test_fast_parser_agrees_with_argparse(argv):
 
 
 def test_golden_command_lines_take_the_fast_path():
-    assert len(GOLDEN_CLI) == 643
+    assert len(GOLDEN_CLI) == 705
     assert [argv for argv, _ in GOLDEN_CLI if not _agrees(argv)] == []
 
 

@@ -20,7 +20,10 @@ moved in text and JSON, 4 of them closer to mpmath (finite-spread fb exact
 them the six values per spectrum that now equal its ``determinant`` line.
 The index-wide group (tori, mixed products, cp8, cp10, cp4xcp4, every genus and
 twisted hrr) was captured while every index still went through the class
-polynomial, before the per-factor splitting route replaced it.
+polynomial, before the per-factor splitting route replaced it.  The
+``zeta-det`` group (finite and affine) and the affine spectral grid, a in
+{1e-3, 0.05, 0.3, 2, 5} by c in {0.2, 1, 10}, were captured while every
+affine sum was still added term by term.
 Spectral cases are keyed by a label from ``SPECTRA`` and stats cases by a
 label from ``SYSTEMS``; the input is written to a temporary file when the case
 runs.  Regenerate the file (only when an output change is intended) with
@@ -53,6 +56,14 @@ SPECTRA = {
     "finite-spread": {"form": "finite", "eigenvalues": [0.01, 0.37, 2.2, 13.0, 41.5]},
     "affine-1-1": {"form": "affine", "a": 1.0, "c": 1.0},
 }
+SPECTRA.update({f"affine-{a!r}-{c!r}": {"form": "affine", "a": a, "c": c}
+                for a in (1e-3, 0.05, 0.3, 2.0, 5.0) for c in (0.2, 1.0, 10.0)})
+ZETA_DETS = (
+    [["--finite", ",".join(map(repr, SPECTRA[label]["eigenvalues"]))]
+     for label in ("finite-123", "finite-single", "finite-spread")]
+    + [["--affine", repr(a), repr(c)] for a in (1e-3, 0.12, 1.0, 5.0) for c in (0.2, 1.0, 10.0)]
+    + [["--affine", "1", "2e18"]]
+)
 
 
 def _seeded_levels(seed, low, high, n=40):
@@ -112,6 +123,8 @@ def cases():
                                  "--degree", str(2 * l + 6)]
         for label in SPECTRA:
             yield "spectral", [*fmt, "spectral", label]
+        for args in ZETA_DETS:
+            yield "zeta-det", [*fmt, "zeta-det", *args]
     for fmt in FORMATS:
         for name in WIDE_MANIFOLDS:
             for kind in PAIRINGS:
@@ -148,8 +161,8 @@ def _stdout(argv):
 
 @pytest.mark.parametrize(
     "group",
-    ["index", "hrr", "genus-manifold", "genus-degree", "verify", "spectral", "stats",
-     "index-wide"],
+    ["index", "hrr", "genus-manifold", "genus-degree", "verify", "spectral", "zeta-det",
+     "stats", "index-wide"],
 )
 def test_cli_output_matches_golden(group):
     golden = {" ".join(argv): out for argv, out in json.loads(GOLDEN.read_text())}
