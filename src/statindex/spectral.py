@@ -14,7 +14,11 @@ obtained from zeta_H(0, c) = 1/2 - c and zeta_H'(0, c) = ln Gamma(c) -
 (1/2) ln(2*pi) through zeta_F(s) = a^{-s} * zeta_H(s, c).  An independent
 Euler-Maclaurin route (numerical differentiation of the continued zeta
 function, Bernoulli corrections from the exact series core) guards the
-closed form against sign and convention slips.
+closed form against sign and convention slips.  The affine chern character
+is e^{-ac}/(1 - e^{-a}), and ln Xi_BE and ln Xi_FD come from the Mellin
+expansion in powers of a (small a and ac) or from a short Lambert series of
+chern characters (elsewhere), so every affine value costs O(1) whatever a
+is; the term-by-term sum ``_affine_terms`` is kept as the tests' oracle.
 
 Every product over a finite spectrum is exp of a combination of three
 fsums: sum ln lambda, ln Xi_BE and ln Xi_FD.  A pairing's one-root density
@@ -29,12 +33,15 @@ de-Rham/Todd convention that the grading lambda_i^+ = lambda_i^- gives.
 from __future__ import annotations
 
 import math
+import sys
+from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from ._record import Record, store
 from .series import bernoulli_numbers
 from .bundles import _safe_exp
-from .statmech import _KERNELS, TailBoundError, _require_keys, _to_float, _to_floats
+from .statmech import (_KERNELS, TailBoundError, _be_logs, _fd_logs, _require_keys, _to_float,
+                       _to_floats)
 from .pairings import MODES, PAIRING_KINDS, pairing_density
 
 __all__ = [
@@ -54,6 +61,10 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_LN2 = math.log(2.0)
+# zeta(2) = pi^2/6 as the float nearest it plus the float nearest the rest
+_ZETA2, _ZETA2_REST = 1.6449340668482264, 3.040672350398476e-17
+_U = 2.0 ** -53
 
 
 class SpectrumSpec(Record):
@@ -114,7 +125,8 @@ class SpectrumSpec(Record):
 
 def _affine_terms(spec: SpectrumSpec, tol: float, max_terms: int = 2_000_000):
     """Yield eigenvalues a*(n + c) until the geometric tail e^{-lam}/(1-e^{-a})
-    falls below tol; raises when the bound cannot be met."""
+    falls below tol; raises when the bound cannot be met.  The term-by-term
+    oracle that the closed forms below are tested against."""
     a, c = spec.a, spec.c
     one_minus = -math.expm1(-a)
     # the loop stops once a(n + 1 + c) >= -ln(tol (1 - e^{-a})), or where e^{-a(n + 1 + c)}
@@ -134,30 +146,158 @@ def _affine_terms(spec: SpectrumSpec, tol: float, max_terms: int = 2_000_000):
     raise TailBoundError(f"geometric tail still above {tol} after {max_terms} terms")
 
 
+# -- affine spectra in closed form ------------------------------------------------
+#
+# For lambda_n = a(n + c), n >= 0, every sum over the spectrum has a closed form
+# or a series whose length does not grow as a -> 0, so each request costs O(1).
+
+def _chern(a: float, c: float) -> float:
+    """sum_n e^{-a(n + c)} = e^{-ac} / (1 - e^{-a}), taken through logarithms
+    where e^{-ac} alone would underflow (ac >= 700)."""
+    t = a * c
+    if t < 700.0:
+        return math.exp(-t) / -math.expm1(-a)
+    return math.exp(-t - math.log(-math.expm1(-a)))
+
+
+# Mellin expansions of ln Xi in powers of a, from the poles of
+# Gamma(s) zeta(s + 1) zeta(s, c) a^{-s} (BE; eta(s + 1) in place of
+# zeta(s + 1) for FD) at s = 1, 0, -1, -2, ... (Zagier, "The Mellin transform
+# and related analytic techniques", appendix to Zeidler, Quantum Field
+# Theory I, 2006).  With B_1 = +1/2 and w_n = (-1)^n B_n / (n (n + 1) n!),
+#
+#     ln Xi_BE = pi^2/(6a) - ln det' + sum_n w_n B_{n+1}(c) a^n,
+#     ln Xi_FD = pi^2/(12a) + (1/2 - c) ln 2 - sum_n (2^n - 1) w_n B_{n+1}(c) a^n.
+#
+# w_n vanishes for odd n > 1.  Row (n, r) holds r_i = w_n C(n+1, 2i) B_{2i}(1/2),
+# so that with x = c - 1/2 and m = len(r) - 1
+#
+#     w_n B_{n+1}(c) a^{n+1} = (ax)^{n+1 - 2m} sum_i r_i (ax)^{2(m - i)} a^{2i},
+#
+# a form in which no power overflows.  Every entry is the float nearest the
+# exact rational (tests/test_affine_budget.py regenerates them).
+_MELLIN_ROWS = (
+    (1, (-0.25, 0.020833333333333332)),
+    (2, (0.013888888888888888, -0.003472222222222222)),
+    (4, (-6.944444444444444e-05, 5.787037037037037e-05, -1.0127314814814815e-05)),
+    (6, (7.873519778281683e-07, -1.3778659611992946e-06, 8.037551440329218e-07,
+         -1.2712453808683968e-07)),
+    (8, (-1.1482216343327455e-08, 3.444664902998236e-08, -4.2197145061728393e-08,
+         2.2246794165196943e-08, -3.4177534584435627e-09)),
+    (10, (1.8978869988971e-10, -8.698648744945042e-10, 1.8267162364384586e-09,
+          -2.022435833199722e-09, 1.035682866195019e-09, -1.578483490293649e-10)),
+    (12, (-3.387301370953521e-12, 2.201745891119789e-11, -7.063934734009322e-11,
+          1.3407059801283e-10, -1.4417995358879743e-10, 7.324818687253986e-11,
+          -1.1140392209082551e-11)),
+    (14, (6.372636443183181e-14, -5.576056887785283e-13, 2.5371058839423038e-12,
+          -7.356744102247667e-12, 1.356251372398239e-11, -1.446943199435845e-11,
+          7.335569399612969e-12, -1.1150752433556946e-12)),
+    (16, (-1.2462059912950672e-15, 1.4123667901344096e-14, -8.650746589573259e-14,
+          3.557398852651044e-13, -1.0019528623293365e-12, 1.832490739621657e-12,
+          -1.950937832235302e-12, 9.885360674552813e-13, -1.5024631705682443e-13)),
+)
+# the expansion is used for a <= 0.3 and ac <= 1/4; there the first omitted
+# term (n = 18) is below 1.6e-19 of the value, and the terms cancel little
+_MELLIN_MAX_A = 0.3
+_MELLIN_MAX_AC = 0.25
+
+
+def _mellin_log_xis(a: float, c: float) -> Tuple[float, float]:
+    """(ln Xi_BE, ln Xi_FD) by the Mellin expansions, for a <= 0.3, ac <= 1/4."""
+    ax = a * (c - 0.5)
+    ax2, a2 = ax * ax, a * a
+    # zeta(2)/a = lead + rest: the leading term's rounding error, found
+    # exactly, goes into the sums, which then round about once
+    lead = _ZETA2 / a
+    rest = 0.0 if lead == math.inf else (
+        float(Fraction(_ZETA2) - Fraction(lead) * Fraction(a)) + _ZETA2_REST) / a
+    be = [lead, rest, -_log_det(a, c)]
+    fd = [0.5 * _ZETA2 / a, 0.5 * rest, (0.5 - c) * _LN2]
+    for n, row in _MELLIN_ROWS:
+        p, power = 0.0, 1.0
+        for coef in row:
+            p = p * ax2 + coef * power
+            power *= a2
+        if n > 1:
+            p *= ax
+        be.append(p / a)
+        fd.append(-(2 ** n - 1) * p / a)
+    return math.fsum(be), math.fsum(fd)
+
+
+def _lambert_log_xis(a: float, c: float) -> Tuple[float, float]:
+    """(ln Xi_BE, ln Xi_FD) as the modes with n + c < 2 plus the Lambert
+    series sum_k (+-1)^{k+1} ch(ka, c')/k of the rest, c' = c + (modes
+    taken).  Term k + 1 is at most e^{-ac'} times term k, and ac' >= 1/4
+    outside the expansion's range, so the series stops, on a certified
+    relative tail bound, within about 160 terms for any a."""
+    lows = [a * (n + c) for n in range(max(0, math.ceil(2.0 - c)))]
+    fd = _fd_logs(lows)
+    if lows and lows[0] < sys.float_info.min:  # ac subnormal or 0: -ln(1 - e^{-ac}) = -ln(ac)
+        be = [-(math.log(a) + math.log(c))] + _be_logs(lows[1:])
+    else:
+        be = _be_logs(lows)
+    c += len(lows)
+    # r/(1 - r), r = e^{-ac}, bounds the tail after a term by that term
+    ratio = math.exp(-a * c) / -math.expm1(-a * c)
+    fd_total = math.fsum(fd)
+    k = 0
+    while True:
+        k += 1
+        term = _chern(k * a, c) / k
+        be.append(term)
+        fd.append(term if k % 2 else -term)
+        fd_total += fd[-1]
+        # either tail is below u/2 of ln Xi_FD <= ln Xi_BE
+        if term * ratio <= 0.5 * _U * fd_total:
+            return math.fsum(be), math.fsum(fd)
+
+
+def _affine_log_xis(a: float, c: float) -> Tuple[float, float]:
+    """(ln Xi_BE, ln Xi_FD) of the spectrum a(n + c); inf beyond float range."""
+    if a <= _MELLIN_MAX_A and a * c <= _MELLIN_MAX_AC:
+        return _mellin_log_xis(a, c)
+    return _lambert_log_xis(a, c)
+
+
+def _in_range(value: float, name: str, spec: SpectrumSpec) -> float:
+    if value == math.inf:
+        raise OverflowError(f"{name} is beyond float range for a = {spec.a}, c = {spec.c}")
+    return value
+
+
 def formal_chern_character(spec: SpectrumSpec, tol: float = 1e-13) -> float:
-    """Trace of e^{-F}: sum of e^{-lambda_i} over the spectrum."""
+    """Trace of e^{-F}: sum of e^{-lambda_i} over the spectrum.
+
+    Affine spectra: e^{-ac} / (1 - e^{-a}), within
+    u (ac + |ln(1 - e^{-a})| + 4) relative of the exact sum, u = 2^-53
+    (tested against mpmath); OverflowError beyond float range.  ``tol`` is
+    not used: it is kept so that existing callers still work.
+    """
     if spec.form == "finite":
         return math.fsum(math.exp(-lam) for lam in spec.eigenvalues)
-    return math.fsum(math.exp(-lam) for lam in _affine_terms(spec, tol))
+    return _in_range(_chern(spec.a, spec.c), "the chern character", spec)
 
 
 def xi_formal(spec: SpectrumSpec, statistics: str, tol: float = 1e-13) -> float:
     """Log-domain grand partition function of the spectrum.
 
     ln Xi_BE = -sum ln(1 - e^{-lambda}), ln Xi_FD = sum ln(1 + e^{-lambda}).
-    Affine tails are truncated once |ln(1 -+ e^{-lambda})| is certifiably
-    below tol, using |ln(1 - t)| <= t/(1 - t) and ln(1 + t) <= t.
+    An affine spectrum takes the Mellin expansion for a <= 0.3 and
+    ac <= 1/4, and the Lambert series elsewhere; either value is within
+    u (ac + |ln(1 - e^{-a})| + 64) relative of the exact sum, u = 2^-53
+    (tested against mpmath for a in [1e-8, 50], c in [1e-3, 1e3]).  Most of
+    the 64 is ln Gamma(c)'s rounding inside the expansion's ln det'.  A
+    value beyond float range (ln Xi_BE for a below about 9e-309) raises
+    OverflowError.
+    ``tol`` is not used: it is kept so that existing callers still work.
     """
     if statistics not in ("BE", "FD"):
         raise ValueError(f"statistics must be BE or FD, got {statistics!r}")
     if spec.form == "finite":
-        eigs: Sequence[float] = spec.eigenvalues
-    else:
-        # the tail of the log sum is dominated by the geometric tail of
-        # e^{-lambda} up to the 1/(1 - e^{-lambda_min}) factor below
-        margin = 1.0 - math.exp(-spec.a * spec.c)
-        eigs = list(_affine_terms(spec, tol * margin))
-    return math.fsum(_KERNELS[statistics][0](eigs))
+        return math.fsum(_KERNELS[statistics][0](spec.eigenvalues))
+    value = _affine_log_xis(spec.a, spec.c)[statistics == "FD"]
+    return _in_range(value, f"ln Xi_{statistics}", spec)
 
 
 def spinor_type_character(spec: SpectrumSpec) -> float:
@@ -182,7 +322,13 @@ def de_rham_type_character(spec: SpectrumSpec) -> float:
 
 # -- certified log-gamma and Euler-Maclaurin zeta -------------------------------
 
-_STIRLING_TERMS = 8
+# B_2k / (2k (2k - 1)) for k = 1..8, the Stirling series' coefficients, and
+# |B_18| / (18 * 17), the constant of its remainder bound; each is the float
+# nearest the exact rational (tests/test_affine_budget.py regenerates them)
+_STIRLING = (0.08333333333333333, -0.002777777777777778, 0.0007936507936507937,
+             -0.0005952380952380953, 0.0008417508417508417, -0.0019175269175269176,
+             0.00641025641025641, -0.029550653594771242)
+_STIRLING_REMAINDER = 0.17964437236883057
 _STIRLING_SHIFT = 16.0
 # from here on the Stirling terms after the leading one sum to less than
 # 1/(12y) < 1e-16, far below an ulp of the leading term (above 3e16)
@@ -215,15 +361,10 @@ def log_gamma(x: float) -> float:
     lead = 2.0 * ((y - 0.5) * (0.5 * math.log(y)) - 0.5 * y + 0.25 * _LOG_2PI)
     if y >= _STIRLING_LEAD_ONLY:  # x itself, with nothing to shift
         return lead
-    bern = bernoulli_numbers(2 * _STIRLING_TERMS + 2)
     acc = [lead]
-    for k in range(1, _STIRLING_TERMS + 1):
-        coeff = bern[2 * k] / (2 * k * (2 * k - 1))
-        acc.append(float(coeff) / y ** (2 * k - 1))
-    bound = abs(
-        float(bern[2 * _STIRLING_TERMS + 2])
-        / ((2 * _STIRLING_TERMS + 2) * (2 * _STIRLING_TERMS + 1))
-    ) / y ** (2 * _STIRLING_TERMS + 1)
+    for k, coeff in enumerate(_STIRLING, 1):
+        acc.append(coeff / y ** (2 * k - 1))
+    bound = _STIRLING_REMAINDER / y ** (2 * len(_STIRLING) + 1)
     if bound > 1e-13:
         raise ArithmeticError(f"Stirling remainder bound {bound} above certification")
     return math.fsum(acc) - math.fsum(shift_logs)
@@ -269,6 +410,18 @@ def zeta_det_euler_maclaurin(a: float, c: float, h: float = 2e-5) -> float:
     return math.exp(-derivative)
 
 
+def _log_det(a: float, c: float) -> float:
+    """ln det' = (1/2 - c) ln a - ln Gamma(c) + (1/2) ln 2 pi.  From c = 1e15
+    on, where ln Gamma(c) is its Stirling leading term, the same sum is
+    formed as c (1 - ln(ac)) + (1/2) ln(ac): it is inf only where det'
+    overflows, and -inf only where det' is 0."""
+    if c < _STIRLING_LEAD_ONLY:
+        return (0.5 - c) * math.log(a) - log_gamma(c) + 0.5 * _LOG_2PI
+    ac = a * c
+    log_ac = math.log(ac) if sys.float_info.min <= ac < math.inf else math.log(a) + math.log(c)
+    return c * (1.0 - log_ac) + 0.5 * log_ac
+
+
 def zeta_det(spec: SpectrumSpec) -> float:
     """Zeta-regularized determinant exp(-zeta_F'(0)).
 
@@ -276,19 +429,16 @@ def zeta_det(spec: SpectrumSpec) -> float:
     plain product exp(fsum(ln lambda)).  On log-balanced spectra (sum ln
     lambda near 0) its relative error is within u * (sum |ln lambda| + 2),
     u = 2^-53: a rounding of each logarithm and one of exp; elsewhere the
-    rounding of the sum adds u * |sum ln lambda|.  A product that overflows
-    raises OverflowError.  Affine spectra: the Hurwitz closed form
-    a^{1/2-c} * sqrt(2*pi) / Gamma(c); it raises OverflowError where it
-    overflows, and also where (1/2 - c) ln a alone does, that is where
-    a < 1 and c |ln a| passes max float (c above about 2.4e305), even if
-    Gamma(c) would bring the product back into range.
+    rounding of the sum adds u * |sum ln lambda|.  Affine spectra: the
+    Hurwitz closed form a^{1/2-c} * sqrt(2*pi) / Gamma(c), within
+    u (4 |(1/2 - c) ln a| + 4 |ln Gamma(c)| + 256) relative (tested against
+    mpmath for a in [1e-8, 50], c in [1e-3, 1e3]); for c >= 1e15 it is
+    exp(c (1 - ln(ac)) + (1/2) ln(ac)), 0 where that underflows.  A
+    determinant beyond float range raises OverflowError.
     """
     if spec.form == "finite":
         return math.exp(math.fsum(map(math.log, spec.eigenvalues)))
-    exponent = (0.5 - spec.c) * math.log(spec.a) - log_gamma(spec.c) + 0.5 * _LOG_2PI
-    if not exponent < math.inf:  # inf, or inf - inf once ln Gamma(c) is inf too
-        raise OverflowError(f"a^(1/2-c) is beyond float range for a = {spec.a}, c = {spec.c}")
-    return math.exp(exponent)
+    return _in_range(_safe_exp(_log_det(spec.a, spec.c)), "the determinant", spec)
 
 
 def formal_euler_class(spec: SpectrumSpec) -> float:
@@ -367,7 +517,9 @@ class SpectralPairReport(Record):
 
 def build_spectral_report(spec: SpectrumSpec, tol: float = 1e-13) -> SpectralPairReport:
     """Everything the spectrum determines, in one report; a finite
-    spectrum's three log sums are taken once."""
+    spectrum's three log sums are taken once, an affine spectrum's two ln Xi
+    in one pass.  A printed value beyond float range raises OverflowError.
+    ``tol`` is not used: it is kept so that existing callers still work."""
     pairings: Optional[Dict[str, Dict[str, float]]] = None
     if spec.form == "finite":
         log_det, log_xi_be, log_xi_fd = log_sums = _log_sums(spec.eigenvalues)
@@ -377,7 +529,8 @@ def build_spectral_report(spec: SpectrumSpec, tol: float = 1e-13) -> SpectralPai
             for kind in PAIRING_KINDS
         }
     else:
-        log_xi_be, log_xi_fd = xi_formal(spec, "BE", tol), xi_formal(spec, "FD", tol)
+        log_xi_be, log_xi_fd = _affine_log_xis(spec.a, spec.c)
+        _in_range(log_xi_be, "ln Xi_BE", spec)  # ln Xi_FD <= ln Xi_BE
         determinant = zeta_det(spec)
     return SpectralPairReport(
         spec=spec,

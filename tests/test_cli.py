@@ -310,11 +310,10 @@ _WIDE = ",".join(repr(0.1 + 9.9 * (k + 0.5) / 1000) for k in range(1000))
     "argv, payload",
     [
         (["zeta-det", "--finite", _WIDE], None),
-        # (1/2 - c) ln a overflows, alone or against ln Gamma(c) = inf
+        # ln det' = c (1 - ln(ac)) + (1/2) ln(ac), about 1.05e307
         (["zeta-det", "--affine", "5e-324", "2.5e305"], None),
-        (["spectral", "{path}"], {"form": "affine", "a": 1e-300, "c": 1e306}),
     ],
-    ids=["finite-det-overflow", "affine-power-overflow", "affine-inf-minus-inf"],
+    ids=["finite-det-overflow", "affine-power-overflow"],
 )
 def test_arithmetic_errors_exit_2(tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"
@@ -323,6 +322,29 @@ def test_arithmetic_errors_exit_2(tmp_path, capsys, argv, payload):
     code, _, err = run(capsys, *(arg.format(path=path) for arg in argv))
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, payload, field",
+    [
+        # ln det' = c (1 - ln(ac)) + (1/2) ln(ac) is about -6.4e309 and -1.28e307;
+        # ln Gamma(c) alone would be inf or (1/2 - c) ln a pass max float
+        (["zeta-det", "--affine", "1e-280", "1e308"], None, None),
+        (["spectral", "{path}"], {"form": "affine", "a": 1e-300, "c": 1e306}, "determinant"),
+    ],
+    ids=["zeta-det-1e-280-1e308", "spectral-1e-300-1e306"],
+)
+def test_affine_determinant_below_float_range_prints_0(tmp_path, capsys, argv, payload, field):
+    path = tmp_path / "input.json"
+    if payload is not None:
+        path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert (code, err) == (0, "")
+    if field is None:
+        assert out == "0\n"
+    else:  # ac = 1e6: the chern character and both ln Xi underflow to 0 too
+        assert out.splitlines()[1:] == [f"{label:18}0" for label in (
+            "chern character", "ln Xi_BE", "ln Xi_FD", "determinant", "euler class")]
 
 
 @pytest.mark.parametrize("c", ["2e18", "1e300", "1.7976931348623157e308"])
@@ -364,9 +386,9 @@ def test_affine_json_reports_overflowing_xi_as_inf(tmp_path, capsys):
     assert f"ln Xi_BE          {payload['log_xi_be']:.17g}" in text
 
 
-def test_hopeless_affine_tail_exits_2_at_once(tmp_path, capsys):
-    # a = 5e-324 would need far more than the 2,000,000-term limit; the
-    # closed-form count rejects it before the first term
+def test_affine_log_xi_beyond_float_range_exits_2_at_once(tmp_path, capsys):
+    # a = 5e-324: ln Xi_BE is about pi^2/(6a), beyond max float; the closed
+    # form says so without adding a single term
     import time
 
     path = tmp_path / "input.json"
@@ -375,8 +397,31 @@ def test_hopeless_affine_tail_exits_2_at_once(tmp_path, capsys):
     code, out, err = run(capsys, "spectral", str(path))
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (2, "")
-    assert err.startswith("error: geometric tail needs about")
+    assert err.startswith("error: ln Xi_BE is beyond float range")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("a", [1e-4, 2e-5, 1e-6])
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
+def test_small_affine_a_answers_at_once(tmp_path, capsys, a, fmt):
+    # once refused below a = 2.45e-5 (the term-by-term tail's limit), and
+    # 0.5 s at a = 1e-4; the leading terms are 1/a, pi^2/(6a) and pi^2/(12a)
+    import time
+
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"form": "affine", "a": a, "c": 1.0}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *fmt, "spectral", str(path))
+    assert time.perf_counter() - start < 0.1
+    assert (code, err) == (0, "")
+    if fmt:
+        report = json.loads(out)
+        chern, be, fd = (report[key] for key in ("chern_character", "log_xi_be", "log_xi_fd"))
+    else:
+        chern, be, fd = (float(line.split()[-1]) for line in out.splitlines()[1:4])
+    assert abs(chern * a - 1.0) < a
+    assert abs(be * a - math.pi ** 2 / 6.0) < 20.0 * a
+    assert abs(fd * a - math.pi ** 2 / 12.0) < a
 
 
 def test_seed_flag_is_gone(capsys):

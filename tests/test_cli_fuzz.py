@@ -8,7 +8,10 @@ float range must exit 0: a log-balanced finite spectrum (eigenvalues
 e^{t_i - mean t}, whose product is near 1) and BE levels at x down to
 1e-300.  Every float of an exit-0 JSON answer is finite, except in the
 fields that the README lists as possibly Infinity, and a finite spectrum's
-``spectral`` answer does not depend on the order of its eigenvalues.
+``spectral`` answer does not depend on the order of its eigenvalues.  Every
+affine spectrum a, c > 0 answers, unless a printed value passes max float.
+A spectrum request exits with the same code in text and JSON, and every
+number both formats print is the same float.
 Tier-1 runs the default profile's few seconds of examples; the ``ci``
 profile runs ten times as many:
 
@@ -20,6 +23,7 @@ import io
 import json
 import math
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -272,3 +276,92 @@ def test_every_listed_field_can_be_infinite():
         assert code == 0, argv
         seen |= {path for path, _ in _non_finite_fields(json.loads(out))}
     assert seen == _MAY_BE_INFINITE
+
+
+_positive = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.floats(-323.3, 308.25).map(lambda k: 10.0 ** k),
+)
+
+
+def _affine_determinant_overflows(a, c):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        log_det = ((mpmath.mpf(1) / 2 - c) * mpmath.log(a) - mpmath.loggamma(c)
+                   + mpmath.log(2 * mpmath.pi) / 2)
+    return log_det > math.log(sys.float_info.max) - 1e-9
+
+
+# a = 5e-324: ln Xi_BE passes max float; 1e-280, 1e308: det' = 0, once
+# refused; 2e-5 and 1e-6: once past the term-by-term tail's limit
+@example(a=5e-324, c=5e-13)
+@example(a=1e-280, c=1e308)
+@example(a=2e-5, c=1.0)
+@example(a=1e-6, c=1.0)
+@example(a=5e-324, c=2.5e305)
+@given(_positive, _positive)
+def test_every_affine_spectrum_answers_unless_a_value_passes_max_float(a, c):
+    # ln Xi_BE <= pi^2/(6a) - ln(1 - e^{-ac}) stays below max float for
+    # a >= 1e-308, and bounds ln Xi_FD and the chern character, so only a
+    # smaller a or a determinant beyond float range may exit 2
+    det_overflows = _affine_determinant_overflows(a, c)
+    spectrum = json.dumps({"form": "affine", "a": a, "c": c})
+    code, _ = _run(["spectral", "input"], [("input", spectrum)])
+    assert code == 0 or (code == 2 and (a < 1e-308 or det_overflows)), (a, c, code)
+    code, _ = _run(["zeta-det", "--affine", repr(a), repr(c)])
+    assert code == 0 or (code == 2 and det_overflows), (a, c, code)
+
+
+_JSON_NAMES = {"chern_character": "chern character", "log_xi_be": "ln Xi_BE",
+               "log_xi_fd": "ln Xi_FD", "determinant": "determinant",
+               "euler_class": "euler class"}
+
+
+def _printed_numbers(fmt, out):
+    """{name: float} of every number an exit-0 spectral or zeta-det answer
+    prints, named alike in both formats."""
+    if fmt == "json":
+        report = json.loads(out)
+        numbers = {name: report[key] for key, name in _JSON_NAMES.items() if key in report}
+        for kind, modes in (report.get("pairings") or {}).items():
+            numbers.update({f"pairing {kind} {mode}": v for mode, v in modes.items()})
+        return numbers
+    lines = out.splitlines()
+    if len(lines) == 1:  # zeta-det
+        return {"determinant": float(lines[0])}
+    numbers = {}
+    for line in lines[1:]:
+        words = line.split()
+        if words[0] == "pairing":
+            numbers[f"pairing {words[1]} exact"] = float(words[3])
+            numbers[f"pairing {words[1]} nondegenerate"] = float(words[5])
+        else:
+            numbers[line[:18].strip()] = float(words[-1])
+    return numbers
+
+
+_valid_spectra = st.one_of(
+    st.fixed_dictionaries({"form": st.just("affine"), "a": _positive, "c": _positive}),
+    st.fixed_dictionaries({"form": st.just("finite"),
+                           "eigenvalues": st.lists(_eigenvalue, min_size=1, max_size=8)}),
+)
+_spectrum_requests = st.one_of(
+    st.tuples(st.sampled_from((["spectral", "input"], ["zeta-det", "--input", "input"])),
+              st.one_of(_valid_spectra, _spectra).map(json.dumps)),
+    st.tuples(st.tuples(_positive, _positive).map(
+        lambda ac: ["zeta-det", "--affine", *map(repr, ac)]), st.none()),
+    st.tuples(st.lists(_eigenvalue.map(repr), min_size=1, max_size=5).map(
+        lambda eigs: ["zeta-det", "--finite", ",".join(eigs)]), st.none()),
+)
+
+
+@given(_spectrum_requests)
+def test_text_and_json_print_the_same_numbers(request):
+    argv, payload = request
+    files = [] if payload is None else [("input", payload)]
+    (code, text), (json_code, json_out) = (
+        _run(["--format", fmt, *argv], files) for fmt in ("text", "json"))
+    assert code == json_code, (argv, payload)
+    if code == 0:
+        assert _printed_numbers("text", text) == _printed_numbers("json", json_out), (
+            argv, payload)
