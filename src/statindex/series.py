@@ -258,9 +258,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self._nums
 
-    def max_degree(self) -> int:
-        return max((sum(e) for e in self._nums), default=0)
-
     def homogeneous_part(self, degree: int) -> "TruncatedSeries":
         nums = {e: n for e, n in self._nums.items() if sum(e) == degree}
         return TruncatedSeries._trusted(self.variables, self.truncation, self._den, nums)

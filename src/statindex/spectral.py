@@ -262,7 +262,9 @@ def _affine_log_xis(a: float, c: float) -> Tuple[float, float]:
 
 def _in_range(value: float, name: str, spec: SpectrumSpec) -> float:
     if value == math.inf:
-        raise OverflowError(f"{name} is beyond float range for a = {spec.a}, c = {spec.c}")
+        where = (f"a = {spec.a}, c = {spec.c}" if spec.form == "affine"
+                 else f"a finite spectrum of {len(spec.eigenvalues)} eigenvalues")
+        raise OverflowError(f"{name} is beyond float range for {where}")
     return value
 
 
@@ -285,9 +287,8 @@ def xi_formal(spec: SpectrumSpec, statistics: str, tol: float = 1e-13) -> float:
     ln Xi_BE = -sum ln(1 - e^{-lambda}), ln Xi_FD = sum ln(1 + e^{-lambda}).
     An affine spectrum takes the Mellin expansion for a <= 0.3 and
     ac <= 1/4, and the Lambert series elsewhere; either value is within
-    u (ac + |ln(1 - e^{-a})| + 64) relative of the exact sum, u = 2^-53
-    (tested against mpmath for a in [1e-8, 50], c in [1e-3, 1e3]).  Most of
-    the 64 is ln Gamma(c)'s rounding inside the expansion's ln det'.  A
+    u (ac + |ln(1 - e^{-a})| + 8) relative of the exact sum, u = 2^-53
+    (tested against mpmath for a in [1e-8, 50], c in [1e-3, 1e3]).  A
     value beyond float range (ln Xi_BE for a below about 9e-309) raises
     OverflowError.
     ``tol`` is not used: it is kept so that existing callers still work.
@@ -320,54 +321,29 @@ def de_rham_type_character(spec: SpectrumSpec) -> float:
     return math.exp(-(2.0 if spec.graded else 1.0) * xi_formal(spec, "BE"))
 
 
-# -- certified log-gamma and Euler-Maclaurin zeta -------------------------------
+# -- log-gamma and Euler-Maclaurin zeta -----------------------------------------
 
-# B_2k / (2k (2k - 1)) for k = 1..8, the Stirling series' coefficients, and
-# |B_18| / (18 * 17), the constant of its remainder bound; each is the float
-# nearest the exact rational (tests/test_affine_budget.py regenerates them)
-_STIRLING = (0.08333333333333333, -0.002777777777777778, 0.0007936507936507937,
-             -0.0005952380952380953, 0.0008417508417508417, -0.0019175269175269176,
-             0.00641025641025641, -0.029550653594771242)
-_STIRLING_REMAINDER = 0.17964437236883057
-_STIRLING_SHIFT = 16.0
 # from here on the Stirling terms after the leading one sum to less than
-# 1/(12y) < 1e-16, far below an ulp of the leading term (above 3e16)
+# 1/(12x) < 1e-16, far below an ulp of the leading term (above 3e16)
 _STIRLING_LEAD_ONLY = 1e15
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0 by argument shifting plus the Stirling series.
+    """ln Gamma(x) for x > 0: ``math.lgamma`` below x = 1e15, the leading
+    Stirling term from there on.
 
-    For real arguments the Stirling remainder is bounded by the first
-    omitted term; with the shift to y >= 16 and 8 Bernoulli terms that
-    bound is below 1e-21.  From y = 1e15 on the leading term alone is the
-    rounded sum, so the later terms, whose powers of y would overflow
-    beyond about 1.36e18, are not formed.  The leading term is formed at
+    Above 1e15 the leading term alone is the rounded sum; it is formed at
     half scale, which is exact, so it stays finite wherever ln Gamma(x)
-    does.
-
-    Every x in (0, max float] answers, with inf where ln Gamma(x) passes
-    max float (x above about 2.56e305).  The value is within 1e-13 of
-    mpmath relative to max(1, |ln Gamma(x)|), tested from 5e-324 to max
-    float.
+    does and reads inf where ln Gamma(x) passes max float (x above about
+    2.56e305), where ``math.lgamma`` would raise.  Every x in (0, max
+    float] answers, within 1e-13 of mpmath relative to
+    max(1, |ln Gamma(x)|), tested from 5e-324 to max float.
     """
     if x <= 0:
         raise ValueError("log_gamma needs x > 0")
-    shift_logs = []
-    y = x
-    while y < _STIRLING_SHIFT:
-        shift_logs.append(math.log(y))
-        y += 1.0
-    lead = 2.0 * ((y - 0.5) * (0.5 * math.log(y)) - 0.5 * y + 0.25 * _LOG_2PI)
-    if y >= _STIRLING_LEAD_ONLY:  # x itself, with nothing to shift
-        return lead
-    acc = [lead]
-    for k, coeff in enumerate(_STIRLING, 1):
-        acc.append(coeff / y ** (2 * k - 1))
-    bound = _STIRLING_REMAINDER / y ** (2 * len(_STIRLING) + 1)
-    if bound > 1e-13:
-        raise ArithmeticError(f"Stirling remainder bound {bound} above certification")
-    return math.fsum(acc) - math.fsum(shift_logs)
+    if x < _STIRLING_LEAD_ONLY:
+        return math.lgamma(x)
+    return 2.0 * ((x - 0.5) * (0.5 * math.log(x)) - 0.5 * x + 0.25 * _LOG_2PI)
 
 
 def hurwitz_zeta_em(s: float, c: float, n_direct: int = 40, terms: int = 10) -> float:
@@ -411,10 +387,11 @@ def zeta_det_euler_maclaurin(a: float, c: float, h: float = 2e-5) -> float:
 
 
 def _log_det(a: float, c: float) -> float:
-    """ln det' = (1/2 - c) ln a - ln Gamma(c) + (1/2) ln 2 pi.  From c = 1e15
-    on, where ln Gamma(c) is its Stirling leading term, the same sum is
-    formed as c (1 - ln(ac)) + (1/2) ln(ac): it is inf only where det'
-    overflows, and -inf only where det' is 0."""
+    """ln det' = (1/2 - c) ln a - ln Gamma(c) + (1/2) ln 2 pi, with ln Gamma(c)
+    from ``math.lgamma``.  From c = 1e15 on, where ln Gamma(c) is its
+    Stirling leading term, the same sum is formed as
+    c (1 - ln(ac)) + (1/2) ln(ac): it is inf only where det' overflows, and
+    -inf only where det' is 0."""
     if c < _STIRLING_LEAD_ONLY:
         return (0.5 - c) * math.log(a) - log_gamma(c) + 0.5 * _LOG_2PI
     ac = a * c
@@ -431,14 +408,14 @@ def zeta_det(spec: SpectrumSpec) -> float:
     u = 2^-53: a rounding of each logarithm and one of exp; elsewhere the
     rounding of the sum adds u * |sum ln lambda|.  Affine spectra: the
     Hurwitz closed form a^{1/2-c} * sqrt(2*pi) / Gamma(c), within
-    u (4 |(1/2 - c) ln a| + 4 |ln Gamma(c)| + 256) relative (tested against
+    u (4 |(1/2 - c) ln a| + 4 |ln Gamma(c)| + 16) relative (tested against
     mpmath for a in [1e-8, 50], c in [1e-3, 1e3]); for c >= 1e15 it is
-    exp(c (1 - ln(ac)) + (1/2) ln(ac)), 0 where that underflows.  A
-    determinant beyond float range raises OverflowError.
+    exp(c (1 - ln(ac)) + (1/2) ln(ac)), 0 where that underflows.  Either
+    form raises OverflowError for a determinant beyond float range.
     """
-    if spec.form == "finite":
-        return math.exp(math.fsum(map(math.log, spec.eigenvalues)))
-    return _in_range(_safe_exp(_log_det(spec.a, spec.c)), "the determinant", spec)
+    log_det = (math.fsum(map(math.log, spec.eigenvalues)) if spec.form == "finite"
+               else _log_det(spec.a, spec.c))
+    return _in_range(_safe_exp(log_det), "the determinant", spec)
 
 
 def formal_euler_class(spec: SpectrumSpec) -> float:
@@ -523,7 +500,7 @@ def build_spectral_report(spec: SpectrumSpec, tol: float = 1e-13) -> SpectralPai
     pairings: Optional[Dict[str, Dict[str, float]]] = None
     if spec.form == "finite":
         log_det, log_xi_be, log_xi_fd = log_sums = _log_sums(spec.eigenvalues)
-        determinant = math.exp(log_det)
+        determinant = _in_range(_safe_exp(log_det), "the determinant", spec)
         pairings = {
             kind: {mode: _pairing_value(log_sums, kind, mode) for mode in MODES}
             for kind in PAIRING_KINDS

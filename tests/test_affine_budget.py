@@ -118,7 +118,7 @@ def _within(got, exact, budget):
 
 
 def _log_sum_budget(a, c):
-    return U * (a * c + abs(math.log(-math.expm1(-a))) + 64)
+    return U * (a * c + abs(math.log(-math.expm1(-a))) + 8)
 
 
 _decades = st.floats(-8.0, math.log10(50.0)).map(lambda k: 10.0 ** k)
@@ -159,16 +159,13 @@ def test_affine_kernels_within_their_budgets(a, c):
         with pytest.raises(OverflowError, match="determinant"):
             zeta_det(spec)
         return
-    det_budget = U * (4 * abs((0.5 - c) * math.log(a)) + 4 * abs(math.lgamma(c)) + 256)
+    det_budget = U * (4 * abs((0.5 - c) * math.log(a)) + 4 * abs(math.lgamma(c)) + 16)
     with mpmath.workdps(40):
         assert _within(zeta_det(spec), mpmath.exp(log_det), det_budget), (a, c)
 
 
 def test_literal_tables_regenerate_exactly():
     bern = bernoulli_numbers(18)
-    assert spectral._STIRLING == tuple(
-        float(bern[2 * k] / (2 * k * (2 * k - 1))) for k in range(1, 9))
-    assert spectral._STIRLING_REMAINDER == float(abs(bern[18]) / (18 * 17))
     at_half = [(Fraction(2) ** (1 - j) - 1) * b for j, b in enumerate(bern)]  # B_j(1/2)
     rows = []
     for n in range(1, 17):

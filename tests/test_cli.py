@@ -304,24 +304,34 @@ def test_flag_overrides_config(tmp_path, capsys):
 
 _FD_HOT = {"levels": [-50.0] * 20, "mu": 0.0, "beta": 1.0, "statistics": "FD"}
 _WIDE = ",".join(repr(0.1 + 9.9 * (k + 0.5) / 1000) for k in range(1000))
+_HUGE = {"form": "finite", "eigenvalues": [1e308, 1e308]}
+_FAR_BELOW_MU = {"levels": [-1e308], "mu": 1e308, "beta": 1.0, "statistics": "FD"}
 
 
 @pytest.mark.parametrize(
-    "argv, payload",
+    "argv, payload, value",
     [
-        (["zeta-det", "--finite", _WIDE], None),
+        (["zeta-det", "--finite", _WIDE], None, "the determinant"),
         # ln det' = c (1 - ln(ac)) + (1/2) ln(ac), about 1.05e307
-        (["zeta-det", "--affine", "5e-324", "2.5e305"], None),
+        (["zeta-det", "--affine", "5e-324", "2.5e305"], None, "the determinant"),
+        (["spectral", "{path}"], _HUGE, "the determinant"),
+        (["--format", "json", "spectral", "{path}"], _HUGE, "the determinant"),
+        # x = beta (eps - mu) overflows to -inf, so the level's ln Xi is inf
+        *[(["--format", fmt, "stats", "{path}"], _FAR_BELOW_MU, "ln Xi")
+          for fmt in ("text", "json", "csv")],
     ],
-    ids=["finite-det-overflow", "affine-power-overflow"],
+    ids=["finite-det-overflow", "affine-power-overflow", "spectral-finite-det-overflow",
+         "spectral-json-finite-det-overflow", "stats-ln-xi-overflow",
+         "stats-json-ln-xi-overflow", "stats-csv-ln-xi-overflow"],
 )
-def test_arithmetic_errors_exit_2(tmp_path, capsys, argv, payload):
+def test_arithmetic_errors_exit_2(tmp_path, capsys, argv, payload, value):
     path = tmp_path / "input.json"
     if payload is not None:
         path.write_text(json.dumps(payload))
-    code, _, err = run(capsys, *(arg.format(path=path) for arg in argv))
-    assert code == 2
-    assert err.startswith("error: ")
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {value} is beyond float range"), err
+    assert "a = 0.0" not in err
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,8 @@ fields that the README lists as possibly Infinity, and a finite spectrum's
 ``spectral`` answer does not depend on the order of its eigenvalues.  Every
 affine spectrum a, c > 0 answers, unless a printed value passes max float.
 A spectrum request exits with the same code in text and JSON, and every
-number both formats print is the same float.
+number both formats print is the same float; so does a stats request in
+text, JSON and CSV.
 Tier-1 runs the default profile's few seconds of examples; the ``ci``
 profile runs ten times as many:
 
@@ -365,3 +366,62 @@ def test_text_and_json_print_the_same_numbers(request):
     if code == 0:
         assert _printed_numbers("text", text) == _printed_numbers("json", json_out), (
             argv, payload)
+
+
+# stats: the totals that text and JSON both print, and the per-level
+# values that JSON and CSV both print
+_STATS_TOTALS = {"log_xi": "ln Xi", "xi": "Xi", "omega": "Omega",
+                 "mean_particle_number": "mean N"}
+_LEVEL_FIELDS = ("epsilon", "xi", "occupation")
+
+
+def _stats_numbers(fmt, out):
+    """{name: float} of the numbers a stats answer prints that another
+    format prints too, named alike in every format."""
+    if fmt == "json":
+        report = json.loads(out)
+        numbers = {name: report[key] for key, name in _STATS_TOTALS.items()}
+        for i, level in enumerate(report["per_level"]):
+            numbers.update({f"{field} {i}": level[field] for field in _LEVEL_FIELDS})
+        return numbers
+    if fmt == "csv":
+        lines = [line for line in out.splitlines() if not line.startswith("correspondence")]
+        header = lines[0].split(",")
+        numbers = {}
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            numbers.update({f"{field} {row['level']}": float(row[field])
+                            for field in _LEVEL_FIELDS})
+        return numbers
+    names = set(_STATS_TOTALS.values())
+    return {line[:18].strip(): float(line[18:]) for line in out.splitlines()
+            if line[:18].strip() in names}
+
+
+_valid_systems = st.fixed_dictionaries(
+    {"levels": st.lists(st.one_of(_floats.filter(math.isfinite),
+                                  st.floats(-3.0, 3.0).map(lambda k: 10.0 ** k)),
+                        min_size=1, max_size=6),
+     "mu": st.one_of(st.floats(-5.0, 5.0), st.sampled_from((0.0, -800.0, 1e-300))),
+     "beta": st.one_of(st.floats(1e-3, 1e3), st.sampled_from((1e-310, 1.0, 1e300))),
+     "statistics": st.sampled_from(("BE", "FD", "MB"))},
+    optional={"kB": st.sampled_from((1.0, 8.617333262e-5, 1e-200))},
+)
+
+
+@given(st.one_of(_valid_systems, _stats_inputs), st.booleans(),
+       st.sampled_from(((), ("--tolerance", "1e-12"), ("--tolerance", "1e-3"))))
+def test_stats_formats_agree(payload, check, options):
+    argv = [*options, "stats", "input"] + (["--check-correspondence"] if check else [])
+    files = [("input", json.dumps(payload))]
+    results = {fmt: _run(["--format", fmt, *argv], files) for fmt in ("text", "json", "csv")}
+    codes = {code for code, _ in results.values()}
+    assert len(codes) == 1, (payload, check, results)
+    if codes == {2}:
+        return
+    numbers = {fmt: _stats_numbers(fmt, out) for fmt, (_, out) in results.items()}
+    assert numbers["text"].keys() == set(_STATS_TOTALS.values()), results["text"]
+    for one, other in (("text", "json"), ("json", "csv")):
+        shared = numbers[one].keys() & numbers[other].keys()
+        assert all(numbers[one][k] == numbers[other][k] for k in shared), (
+            payload, one, other, numbers)

@@ -159,8 +159,10 @@ def test_hurwitz_zeta_reference_points():
 
 
 def test_log_gamma_certified():
-    for x in (0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 25.0):
-        assert abs(log_gamma(x) - math.lgamma(x)) < 1e-13 * max(1.0, abs(math.lgamma(x)))
+    # exact values: ln Gamma(n) = ln (n - 1)! and ln Gamma(1/2) = (1/2) ln pi
+    for n in (1, 2, 3, 4, 7, 11, 26, 100, 171, 1000):
+        exact = math.log(math.factorial(n - 1))  # of the exact integer
+        assert abs(log_gamma(float(n)) - exact) < 1e-13 * max(1.0, abs(exact)), n
     assert abs(log_gamma(0.5) - 0.5 * math.log(math.pi)) < 1e-13
 
 

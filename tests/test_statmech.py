@@ -287,6 +287,23 @@ def test_bose_geometric_sum_is_compensated_over_many_terms():
         assert abs((value - exact) / exact) < 1e-12
 
 
+def test_bose_geometric_sum_within_its_budget():
+    mpmath = pytest.importorskip("mpmath")
+    u = 2.0 ** -53
+    rng = random.Random(2201)
+    ys = [-10 ** rng.uniform(math.log10(3e-5), math.log10(700.0)) for _ in range(30)]
+    ys += [-3e-5, -3.1e-5, -1e-4, -1e-3, -0.5, -LN2, -2.0, -40.0, -700.0]  # y -> 0- first
+    for y in ys:
+        value, terms, _ = bose_geometric_sum(y, tol=1e-13)
+        budget = u * (2 / math.expm1(-y) + 2)
+        with mpmath.workdps(40):
+            ratio = mpmath.exp(mpmath.mpf(y))
+            partial = (1 - ratio**terms) / (1 - ratio)
+            exact = 1 / (1 - ratio)
+            assert abs(value - partial) <= budget * partial, y
+            assert abs(value - exact) <= (budget + 1e-13) * exact, y
+
+
 def test_correspondence_fermion_singleton():
     system = LevelSystem(levels=(LN2,), mu=0.0, beta=1.0, statistics="FD")
     report = correspondence_check(system)
