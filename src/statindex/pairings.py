@@ -20,8 +20,7 @@ this canonical form, where it simply erases the remaining bose/fermi
 factors; applying it to an unfactored series would be meaningless.
 
 Each root's canonical factor is lowered to a one-variable series by one
-builder (``_lower_root``, memoised per process by the factor's exponents
-and the truncation): ``FactorExpression.root_factor`` returns that
+builder (``_lower_root``): ``FactorExpression.root_factor`` returns that
 series, and ``to_series`` is the scalar times the root product of the
 lowered factors (``series.root_product``).  Every root of a canonical
 density carries the same factor x^m u(x), so ``pairing_index`` integrates
@@ -40,7 +39,16 @@ route.  Its brute-force route never touches the factored algebra: each
 root's block is one root's character from ``bundles`` times the genus
 factors of ``genera.generating_series``.  Both routes are products of
 copies of one block, so verify compares the blocks by one exact rule
-(``_products_agree``) and expands the products only to name a mismatch.
+(``_products_agree``, on the blocks' integer form) and expands the products
+only to name a mismatch.
+
+Every block is built once per process, in an ``lru_cache(maxsize=256)``:
+``_lower_root`` by (power, exp_coeff, bose, fermi, D); the one-root
+density's data ``_root_data`` (an immutable ``_RootDensity``) by (kind,
+mode), from which ``pairing_density`` builds a fresh expression, since the
+atom multiplications mutate it; route (b)'s ``_brute_block`` and the
+literal check's ``_literal_blocks`` by (kind, D).  Route (b)'s memo is
+kept apart from ``_lower_root``, and neither is built from the other.
 """
 
 from __future__ import annotations
@@ -262,10 +270,25 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
-def _root_density(kind: str, mode: str) -> FactorExpression:
+class _RootDensity(Record):
+    """The one-root density as data: its scalar and its factor's exponents."""
+
+    __slots__ = __match_args__ = ("scalar", "power", "exp_coeff", "bose", "fermi")
+
+    def __init__(self, scalar: Fraction, power: int, exp_coeff: Fraction, bose: int, fermi: int):
+        store(self, "scalar", scalar)
+        store(self, "power", power)
+        store(self, "exp_coeff", exp_coeff)
+        store(self, "bose", bose)
+        store(self, "fermi", fermi)
+
+
+@lru_cache(maxsize=256)
+def _root_data(kind: str, mode: str) -> _RootDensity:
     """The density on one root: the factor every root carries, with its
     share of the scalar (the bb parity prefactor (-1)^{l(2l+1)} = (-1)^l
-    is one sign per root)."""
+    is one sign per root).  Built once per process by the atom
+    multiplications and held as an immutable record."""
     _check_kind(kind)
     _check_mode(mode)
     root = FactorExpression(1)
@@ -291,18 +314,26 @@ def _root_density(kind: str, mode: str) -> FactorExpression:
         raise AssertionError(kind)
     if mode == "nondegenerate":
         root = root.nondegenerate_limit()
-    return root
+    f = root.factors[0]
+    return _RootDensity(root.scalar, f.power, f.exp_coeff, f.bose, f.fermi)
 
 
 def pairing_density(kind: str, l: int, mode: str = "exact") -> FactorExpression:
     """The pairing's index density in canonical factored form: each of the
     l roots carries a copy of the one-root factor, the scalar its l-th
-    power."""
-    root = _root_density(kind, mode)
+    power.  The expression is fresh, since the atom multiplications
+    mutate it."""
+    root = _root_data(kind, mode)
     expr = FactorExpression(l)
     expr.scalar = root.scalar ** l
-    expr.factors = [root.factors[0].copy() for _ in range(l)]
+    expr.factors = [_RootFactor(root.power, root.exp_coeff, root.bose, root.fermi)
+                    for _ in range(l)]
     return expr
+
+
+def _root_density(kind: str, mode: str) -> FactorExpression:
+    """The density on one root as a fresh expression."""
+    return pairing_density(kind, 1, mode)
 
 
 def density_series(kind: str, l: int, mode: str, D: int) -> TruncatedSeries:
@@ -480,27 +511,34 @@ def _products_agree(a: TruncatedSeries, s_a, b: TruncatedSeries, s_b, n: int, D:
     of degree m <= D/n.  Otherwise, with m the common lowest degree, they agree
     iff s_a a_m^(n-1) a_k = s_b b_m^(n-1) b_k for k = m..D-(n-1)m: these are
     the coefficients of x1^m...x(n-1)^m xn^k, and they give s_a (a_m/b_m)^n =
-    s_b and a = (a_m/b_m) b on every exponent either product reaches.  Blocks
-    that ``root_product`` refuses raise ValueError.
+    s_b and a = (a_m/b_m) b on every exponent either product reaches.  The
+    test is made on the blocks' integer form, cross-multiplied by the
+    scalars' and blocks' denominators.  Blocks that ``root_product`` refuses
+    raise ValueError.
     """
     def lowest(block, scalar):  # the lowest degree the product reaches, None if it vanishes
         _check_root_block(block, D)
-        return next((k for k in range(D // n + 1) if scalar and block.coefficient((k,))), None)
+        nums = block._nums  # canonical: no zero numerator
+        return next((k for k in range(D // n + 1) if scalar and (k,) in nums), None)
     m, m_b = lowest(a, s_a), lowest(b, s_b)
     if m is None or m != m_b:
         return m == m_b
-    s_a *= a.coefficient((m,)) ** (n - 1)
-    s_b *= b.coefficient((m,)) ** (n - 1)
-    return all(s_a * a.coefficient((k,)) == s_b * b.coefficient((k,))
+    nums_a, nums_b = a._nums, b._nums
+    # s_a a_m^(n-1) a_k = s_b b_m^(n-1) b_k times the denominators of s_a, s_b, a^n and b^n
+    left = s_a.numerator * s_b.denominator * b._den ** n * nums_a[(m,)] ** (n - 1)
+    right = s_b.numerator * s_a.denominator * a._den ** n * nums_b[(m,)] ** (n - 1)
+    return all(left * nums_a.get((k,), 0) == right * nums_b.get((k,), 0)
                for k in range(m, D - (n - 1) * m + 1))
 
 
+@lru_cache(maxsize=256)
 def _brute_block(kind: str, D: int) -> Tuple[TruncatedSeries, int]:
     """One root's block of the density by plain series arithmetic, no
     factored algebra, and the sign each root carries (bb's -1 is the parity
     prefactor).  For fb/ff it is the spinor character of one root times the
     A-hat or B-hat series; for bb/bf the paired dual character of one root
-    times the Todd or Td* series at x and at -x (roots +-x), over x."""
+    times the Todd or Td* series at x and at -x (roots +-x), over x.  Built
+    once per process and shared (series are immutable)."""
     if kind in ("fb", "ff"):
         genus = generating_series("ahat" if kind == "fb" else "bhat", D)
         return spinor_character(1, D) * genus.rename({"x": "x1"}), 1
@@ -510,30 +548,37 @@ def _brute_block(kind: str, D: int) -> Tuple[TruncatedSeries, int]:
     return block.quotient_by("x1"), -1 if kind == "bb" else 1
 
 
-def _is_euler(kind: str, expr: FactorExpression, n: int, D: int) -> bool:
-    """Whether ``expr`` over n roots is the euler monomial x1...xn: exactly
-    for ff and bb, in the nondegenerate limit for fb and bf."""
+def _euler_blocks(kind: str, expr: FactorExpression, D: int) -> Tuple:
+    """The blocks and scalars whose products over the roots must agree for
+    ``expr`` to be the euler monomial: exactly for ff and bb, in the
+    nondegenerate limit for fb and bf."""
     if kind in ("fb", "bf"):
         expr = expr.nondegenerate_limit()
-    euler = generating_series("euler", D)
-    return _products_agree(expr.root_factor(D), expr.scalar, euler, 1, n, D)
+    return expr.root_factor(D), expr.scalar, generating_series("euler", D), 1
+
+
+@lru_cache(maxsize=256)
+def _literal_blocks(kind: str, D: int) -> Tuple[Tuple, Tuple]:
+    """The two block comparisons of the literal check at truncation D, built
+    once per process: one root built in the factored algebra against the
+    unpaired dual character of one root times the genus, and that root
+    against the euler monomial."""
+    root = FactorExpression(1).mul_bose_minus(0, 1).mul_power(0, 1)
+    (root.mul_bose_minus if kind == "bb" else root.mul_fermi_minus)(0, -1)
+    genus = generating_series("todd" if kind == "bb" else "tdstar", D)
+    block = lambda_minus1_dual(1, False, D) * genus.rename({"x": "x1"})
+    return (root.root_factor(D), root.scalar, block, 1), _euler_blocks(kind, root, D)
 
 
 def _literal_check(kind: str, l: int, D: int) -> Optional[bool]:
     """Single-root (unpaired) products over m = 2l independent roots: for bb
     the chain prod(1 - e^{-x_i}) * prod x_i/(1 - e^{-x_i}), which must be the
     euler monomial over all m roots, for bf the analogous Td* product, which
-    is the monomial in the limit.  One root built in the factored algebra is
-    compared with the unpaired dual character of one root times the genus."""
+    is the monomial in the limit (``_literal_blocks``)."""
     m = 2 * l
     if kind not in ("bb", "bf") or D < m:
         return None
-    root = FactorExpression(1).mul_bose_minus(0, 1).mul_power(0, 1)
-    (root.mul_bose_minus if kind == "bb" else root.mul_fermi_minus)(0, -1)
-    genus = generating_series("todd" if kind == "bb" else "tdstar", D)
-    block = lambda_minus1_dual(1, False, D) * genus.rename({"x": "x1"})
-    return (_products_agree(root.root_factor(D), root.scalar, block, 1, m, D)
-            and _is_euler(kind, root, m, D))
+    return all(_products_agree(*blocks, m, D) for blocks in _literal_blocks(kind, D))
 
 
 _CHAINS = {
@@ -597,7 +642,7 @@ def verify_identity(kind: str, l: int, D: Optional[int] = None) -> VerifyReport:
             if a != b:
                 mismatch = (exps, format_rational(a), format_rational(b))
                 break
-    ok = ok and _is_euler(kind, expr, l, D)
+    ok = ok and _products_agree(*_euler_blocks(kind, expr, D), l, D)
     literal_ok = _literal_check(kind, l, D) if ok else None
     ok = ok and literal_ok is not False
     return VerifyReport(

@@ -22,7 +22,7 @@ is; the term-by-term sum ``_affine_terms`` is kept as the tests' oracle.
 
 Every product over a finite spectrum is exp of a combination of three
 fsums: sum ln lambda, ln Xi_BE and ln Xi_FD.  A pairing's one-root density
-(``pairing_density(kind, 1, mode)``) is lambda^p (1 - e^{-lambda})^b
+(``pairings._root_data(kind, mode)``) is lambda^p (1 - e^{-lambda})^b
 (1 + e^{-lambda})^f, so its product is exp(p sum ln lambda - b ln Xi_BE +
 f ln Xi_FD): fb exact is det Xi_BE Xi_FD, bf exact det / (Xi_BE Xi_FD)^2,
 and the other six values det.  The bb and bf densities pair every root x
@@ -42,7 +42,7 @@ from .series import bernoulli_numbers
 from .bundles import _safe_exp
 from .statmech import (_KERNELS, TailBoundError, _be_logs, _fd_logs, _require_keys, _to_float,
                        _to_floats)
-from .pairings import MODES, PAIRING_KINDS, pairing_density
+from .pairings import MODES, PAIRING_KINDS, _root_data
 
 __all__ = [
     "SpectralPairReport",
@@ -440,7 +440,7 @@ def _log_sums(eigenvalues: Sequence[float]) -> Tuple[float, float, float]:
 def _pairing_value(log_sums: Tuple[float, float, float], kind: str, mode: str) -> float:
     """exp(p ln det - b ln Xi_BE + f ln Xi_FD); the small integer multiples
     are exact, so the exponent is rounded once."""
-    root = pairing_density(kind, 1, mode).factors[0]
+    root = _root_data(kind, mode)
     log_det, log_xi_be, log_xi_fd = log_sums
     return _safe_exp(math.fsum((root.power * log_det, -root.bose * log_xi_be,
                                 root.fermi * log_xi_fd)))

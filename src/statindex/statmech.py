@@ -338,13 +338,16 @@ def grand_ensemble(system: LevelSystem) -> EnsembleReport:
     if system.statistics == "BE" and xs and min(xs) <= 0:
         raise ConvergenceError(_BOSE_SUM_DIVERGES.format(x=next(x for x in xs if x <= 0)))
     log_kernel, occupation_kernel = _KERNELS[system.statistics]
-    logs = log_kernel(xs)
-    per_n = logs if occupation_kernel is log_kernel else occupation_kernel(xs)
     exp, inf, log_max = math.exp, math.inf, _LOG_MAX
-    per_xi = [inf if v > log_max else exp(v) for v in logs]
-    log_xi = math.fsum(logs)
-    if log_xi == inf:  # a level's log is inf; finite logs past max float make fsum raise
+    try:
+        logs = log_kernel(xs)
+        log_xi = math.fsum(logs)
+    except OverflowError:  # MB's e^{-x}, or the sum of finite logs, passes max float
+        log_xi = inf
+    if log_xi == inf:  # or a level's log is inf
         raise OverflowError("ln Xi is beyond float range")
+    per_n = logs if occupation_kernel is log_kernel else occupation_kernel(xs)
+    per_xi = [inf if v > log_max else exp(v) for v in logs]
     return EnsembleReport(
         system=system,
         arguments=xs,

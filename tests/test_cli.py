@@ -306,6 +306,9 @@ _FD_HOT = {"levels": [-50.0] * 20, "mu": 0.0, "beta": 1.0, "statistics": "FD"}
 _WIDE = ",".join(repr(0.1 + 9.9 * (k + 0.5) / 1000) for k in range(1000))
 _HUGE = {"form": "finite", "eigenvalues": [1e308, 1e308]}
 _FAR_BELOW_MU = {"levels": [-1e308], "mu": 1e308, "beta": 1.0, "statistics": "FD"}
+_MB_FAR_BELOW_MU = {"levels": [-800.0], "mu": 0.0, "beta": 1.0, "statistics": "MB"}
+_FD_LOGS_PAST_MAX = {"levels": [-1e308, -1e308], "mu": 0.0, "beta": 1.0, "statistics": "FD"}
+_FORMATS = ("text", "json", "csv")
 
 
 @pytest.mark.parametrize(
@@ -317,12 +320,18 @@ _FAR_BELOW_MU = {"levels": [-1e308], "mu": 1e308, "beta": 1.0, "statistics": "FD
         (["spectral", "{path}"], _HUGE, "the determinant"),
         (["--format", "json", "spectral", "{path}"], _HUGE, "the determinant"),
         # x = beta (eps - mu) overflows to -inf, so the level's ln Xi is inf
-        *[(["--format", fmt, "stats", "{path}"], _FAR_BELOW_MU, "ln Xi")
-          for fmt in ("text", "json", "csv")],
+        *[(["--format", fmt, "stats", "{path}"], _FAR_BELOW_MU, "ln Xi") for fmt in _FORMATS],
+        # an MB level's ln Xi = e^{-x} = e^800 is beyond float range
+        *[(["--format", fmt, "stats", "{path}"], _MB_FAR_BELOW_MU, "ln Xi") for fmt in _FORMATS],
+        # two finite FD logs of 1e308 sum past max float
+        *[(["--format", fmt, "stats", "{path}"], _FD_LOGS_PAST_MAX, "ln Xi") for fmt in _FORMATS],
     ],
     ids=["finite-det-overflow", "affine-power-overflow", "spectral-finite-det-overflow",
          "spectral-json-finite-det-overflow", "stats-ln-xi-overflow",
-         "stats-json-ln-xi-overflow", "stats-csv-ln-xi-overflow"],
+         "stats-json-ln-xi-overflow", "stats-csv-ln-xi-overflow",
+         "stats-mb-level-overflow", "stats-json-mb-level-overflow",
+         "stats-csv-mb-level-overflow", "stats-fd-sum-overflow",
+         "stats-json-fd-sum-overflow", "stats-csv-fd-sum-overflow"],
 )
 def test_arithmetic_errors_exit_2(tmp_path, capsys, argv, payload, value):
     path = tmp_path / "input.json"

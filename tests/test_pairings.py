@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from statindex import pairings
+from statindex import cli, genera, manifolds, pairings
 from statindex.cli import main
 from statindex.genera import euler_class_roots, generating_series, genus_series, root_variables
 from statindex.bundles import RootModel, lambda_minus1_dual, spinor_character
@@ -125,9 +125,60 @@ def test_brute_series_bypasses_factored_algebra(monkeypatch):
     monkeypatch.setattr(FactorExpression, "__init__", forbidden)
     monkeypatch.setattr(FactorExpression, "to_series", forbidden)
     for kind in PAIRING_KINDS:
-        block, sign = pairings._brute_block(kind, 8)
+        block, sign = pairings._brute_block.__wrapped__(kind, 8)  # a fresh build, not a memo hit
         assert block.variables == ("x1",) and block.truncation == 8
         assert sign == (-1 if kind == "bb" else 1)
+
+
+def test_memoised_blocks_survive_callers_and_equal_fresh_builds():
+    # the callers get fresh expressions; mutating them leaves the memo alone
+    for kind in PAIRING_KINDS:
+        for mode in pairings.MODES:
+            memo = pairings._root_data(kind, mode)
+            expr = pairing_density(kind, 3, mode)
+            expr.mul_scalar(7).mul_power(0, 2).mul_exp(1, 1).mul_bose_plus(2, 1)
+            expr.mul_fermi_minus(0, -3).factors[1].bose += 5
+            expr.nondegenerate_limit().mul_power(0, 1).mul_fermi_plus(1, 2)
+            pairings._root_density(kind, mode).mul_scalar(-1).mul_bose_minus(0, 4)
+            report = pairing_index(kind, "cp2", mode)
+            assert report.density == pairing_index(kind, "cp2", mode).density
+            assert pairings._root_data(kind, mode) is memo
+            assert memo == pairings._root_data.__wrapped__(kind, mode)
+    # every memoised block, filled by verify, equals a fresh build
+    for kind in PAIRING_KINDS:
+        for l in range(1, 6):
+            verify_identity(kind, l)
+        for D in range(1, 17):  # verify needs D >= l >= 1, the literal check D >= 2l
+            assert pairings._brute_block(kind, D) == pairings._brute_block.__wrapped__(kind, D)
+            if kind in ("bb", "bf") and D >= 2:
+                assert (pairings._literal_blocks(kind, D)
+                        == pairings._literal_blocks.__wrapped__(kind, D))
+
+
+def _clear_memos():
+    """Empty every per-process memo, as a fresh process starts."""
+    for module in (pairings, genera, manifolds, cli):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def test_verify_prints_the_same_in_any_order_as_one_shot(capsys):
+    # the 40 requests of one benchmark pass: l = 1..5 at D = 2l+4 and 2l+6
+    requests = [(["--format", ("text", "json")[(l + i) % 2], "verify", kind, "--l", str(l),
+                  "--degree", str(D)], D)
+                for l in range(1, 6) for D in (2 * l + 4, 2 * l + 6)
+                for i, kind in enumerate(PAIRING_KINDS)]
+    one_shot = {}
+    for argv, _ in requests:
+        _clear_memos()
+        main(argv)
+        one_shot[tuple(argv)] = capsys.readouterr().out
+    for descending in (False, True):
+        _clear_memos()
+        for argv, _ in sorted(requests, key=lambda r: r[1], reverse=descending):
+            main(argv)
+            assert capsys.readouterr().out == one_shot[tuple(argv)], argv
 
 
 def _bumped(block, k):
