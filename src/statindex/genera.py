@@ -13,12 +13,13 @@ denominator constant term are built by first dividing the denominator by
 its root variable (an exact operation on series whose terms all contain
 that variable) and inverting the resulting unit.
 
-Each factor is built once per process (memoised by kind and truncation),
-as the one-variable series ``generating_series``, and everything else is
-made from it.  Class polynomials (``genus_class_polynomial``,
-``genus_polynomial``) are built in class space by
-``symmetric.multiplicative_sequence``, one coefficient per partition by
-the dual Cauchy identity; they are computed afresh on every call.  The
+Each factor is the one-variable series ``generating_series``, and
+everything else is made from it.  It is built at the largest truncation
+asked for so far and truncated for every lower one (``series.grown``).
+Class polynomials (``genus_class_polynomial``, ``genus_polynomial``) are
+built in class space by ``symmetric.multiplicative_sequence``, one
+coefficient per partition by the dual Cauchy identity; they are computed
+afresh on every call.  The
 n-root product ``genus_series`` is ``series.root_product`` of n copies of
 the same series; it stays as the route tests reduce with
 ``to_chern_basis`` / ``to_pontryagin_basis`` to check them.  The
@@ -31,10 +32,9 @@ pairings module.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from ._record import Record, store
-from .series import TruncatedSeries, root_product, root_variables
+from .series import TruncatedSeries, grown, root_product, root_variables
 from .symmetric import CHERN, PONTRYAGIN, ChernPolynomial, multiplicative_sequence
 
 __all__ = [
@@ -67,10 +67,12 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown genus kind {kind!r}; expected one of {GENUS_KINDS}")
 
 
-@lru_cache(maxsize=256)
+@grown
 def _root_factor(kind: str, D: int) -> TruncatedSeries:
-    """The per-root factor g(x) as a series in ``x`` through degree D, built
-    once per process and shared (series are immutable)."""
+    """The per-root factor g(x) as a series in ``x`` through degree D.  Held
+    per kind at the largest D built so far and per (kind, D) as returned, at
+    most 256 of each (``series.grown``): a kind is built again only for a D
+    above every D built for it.  The series are shared (they are immutable)."""
     variables = ("x",)
     x = TruncatedSeries.variable(variables, D, "x")
     if kind == "euler":

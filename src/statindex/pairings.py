@@ -42,13 +42,18 @@ copies of one block, so verify compares the blocks by one exact rule
 (``_products_agree``, on the blocks' integer form) and expands the products
 only to name a mismatch.
 
-Every block is built once per process, in an ``lru_cache(maxsize=256)``:
-``_lower_root`` by (power, exp_coeff, bose, fermi, D); the one-root
-density's data ``_root_data`` (an immutable ``_RootDensity``) by (kind,
-mode), from which ``pairing_density`` builds a fresh expression, since the
-atom multiplications mutate it; route (b)'s ``_brute_block`` and the
-literal check's ``_literal_blocks`` by (kind, D).  Route (b)'s memo is
-kept apart from ``_lower_root``, and neither is built from the other.
+Every block is memoised by ``series.grown``, with the truncation D as its
+last argument: per key it holds the value at the largest D built so far,
+and per (key, D) the value returned, so a repeat returns the same object, a
+lower D is that value truncated, and a key is built again only for a D above
+every D built for it.  The keys are (power, exp_coeff, bose, fermi) for
+``_lower_root`` and the kind for route (b)'s ``_brute_block`` and the
+literal check's ``_literal_blocks``; each level holds at most 256 entries.
+The one-root density's data ``_root_data`` (an immutable ``_RootDensity``)
+is held in an ``lru_cache(maxsize=256)`` by (kind, mode), from which
+``pairing_density`` builds a fresh expression, since the atom
+multiplications mutate it.  Route (b)'s memo is kept apart from
+``_lower_root``, and neither is built from the other.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from typing import List, Optional, Tuple, Union
 
 from ._record import Record, store
 from .series import (
-    TruncatedSeries, _check_root_block, format_rational, root_product, root_variables,
+    TruncatedSeries, _check_root_block, format_rational, grown, root_product, root_variables,
 )
 from .symmetric import ChernPolynomial, multiplicative_sequence
 from .genera import generating_series
@@ -108,11 +113,13 @@ class _RootFactor(Record, frozen=False):
         return _RootFactor(self.power, self.exp_coeff, self.bose, self.fermi)
 
 
-@lru_cache(maxsize=256)
+@grown
 def _lower_root(power: int, exp_coeff: Fraction, bose: int, fermi: int, D: int) -> TruncatedSeries:
     """One root's factor x^p e^{s x} (1 - e^{-x})^b (1 + e^{-x})^f as a
-    series in ``x1`` through degree D, built once per process and shared
-    (series are immutable).
+    series in ``x1`` through degree D.  Held per (p, s, b, f) at the largest
+    D built so far and per (p, s, b, f, D) as returned, at most 256 of each
+    (``series.grown``): a factor is built again only for a D above every D
+    built for it.  The series are shared (they are immutable).
 
     (1 - e^{-x})^b is written x^b u^b with the unit u = (1 - e^{-x})/x, so an
     inverse bose factor needs x powers p + b >= 0 to cover it; otherwise the
@@ -531,14 +538,14 @@ def _products_agree(a: TruncatedSeries, s_a, b: TruncatedSeries, s_b, n: int, D:
                for k in range(m, D - (n - 1) * m + 1))
 
 
-@lru_cache(maxsize=256)
+@grown
 def _brute_block(kind: str, D: int) -> Tuple[TruncatedSeries, int]:
     """One root's block of the density by plain series arithmetic, no
     factored algebra, and the sign each root carries (bb's -1 is the parity
     prefactor).  For fb/ff it is the spinor character of one root times the
     A-hat or B-hat series; for bb/bf the paired dual character of one root
-    times the Todd or Td* series at x and at -x (roots +-x), over x.  Built
-    once per process and shared (series are immutable)."""
+    times the Todd or Td* series at x and at -x (roots +-x), over x.  Memoised
+    by ``series.grown`` and shared (series are immutable)."""
     if kind in ("fb", "ff"):
         genus = generating_series("ahat" if kind == "fb" else "bhat", D)
         return spinor_character(1, D) * genus.rename({"x": "x1"}), 1
@@ -557,12 +564,12 @@ def _euler_blocks(kind: str, expr: FactorExpression, D: int) -> Tuple:
     return expr.root_factor(D), expr.scalar, generating_series("euler", D), 1
 
 
-@lru_cache(maxsize=256)
+@grown
 def _literal_blocks(kind: str, D: int) -> Tuple[Tuple, Tuple]:
-    """The two block comparisons of the literal check at truncation D, built
-    once per process: one root built in the factored algebra against the
-    unpaired dual character of one root times the genus, and that root
-    against the euler monomial."""
+    """The two block comparisons of the literal check at truncation D,
+    memoised by ``series.grown``: one root built in the factored algebra
+    against the unpaired dual character of one root times the genus, and
+    that root against the euler monomial."""
     root = FactorExpression(1).mul_bose_minus(0, 1).mul_power(0, 1)
     (root.mul_bose_minus if kind == "bb" else root.mul_fermi_minus)(0, -1)
     genus = generating_series("todd" if kind == "bb" else "tdstar", D)

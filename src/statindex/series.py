@@ -20,6 +20,9 @@ series, and the ``terms`` dict is shared by every reader of a series (and
 by every caller of a memoised factor such as ``genera.generating_series``),
 so it must never be mutated.  Values may be shared freely across threads.
 
+``grown`` memoises the package's one-variable blocks, each built at the
+largest truncation asked for and truncated for every lower one.
+
 Exact values and polynomials are spelled here for the whole package:
 ``format_rational``/``parse_rational`` for one rational, ``format_polynomial``
 for a sum of rational multiples of monomials (``str`` of a series and, over
@@ -31,9 +34,11 @@ every ``to_json_dict``/``from_json_dict`` pair.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, wraps
 from math import factorial, gcd, lcm
 from operator import add
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from threading import Lock
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Exponents = Tuple[int, ...]
 
@@ -45,6 +50,7 @@ __all__ = [
     "format_polynomial",
     "format_rational",
     "glex_key",
+    "grown",
     "parse_rational",
     "root_product",
     "root_variables",
@@ -519,6 +525,60 @@ def root_product(blocks: Sequence[TruncatedSeries], D: int, scalar=1) -> Truncat
         _check_root_block(block, D)
         out = out * block.rename({block.variables[0]: name}).embed(variables, D)
     return out
+
+
+_MEMO_SIZE = 256
+
+
+def _truncated(value, D: int):
+    """``value`` with every series in it, through nested tuples, truncated to D."""
+    if isinstance(value, TruncatedSeries):
+        return value.truncate(D)
+    if isinstance(value, tuple):
+        return tuple(_truncated(item, D) for item in value)
+    return value
+
+
+def grown(build: Callable) -> Callable:
+    """Memoise ``build(*key, D)``, whose value (a series, or tuples holding
+    series and other values) is known through degree D, so that its value at
+    any lower D is that value truncated.
+
+    Two memos, each bounded at 256 entries: by (key, D), least recently
+    used first out, so a repeat request returns the identical object; and by
+    key, the value at the largest D built so far, the key grown longest ago
+    first out.  A (key, D) not held is that value truncated to D, and
+    ``build`` runs only when D is above every D held for the key.
+    ``__wrapped__`` is ``build``; ``cache_clear`` empties both memos.
+    """
+    largest: Dict[tuple, tuple] = {}  # key -> (D, value at D)
+    lock = Lock()
+
+    @lru_cache(maxsize=_MEMO_SIZE)
+    def by_truncation(*args):
+        key, D = args[:-1], args[-1]
+        held = largest.get(key)
+        if held is not None and held[0] >= D:
+            return _truncated(held[1], D)
+        value = build(*args)
+        with lock:  # another thread may have grown the key meanwhile
+            if key not in largest or largest[key][0] < D:
+                largest.pop(key, None)  # re-inserted as the most recently grown
+                largest[key] = (D, value)
+                if len(largest) > _MEMO_SIZE:
+                    del largest[next(iter(largest))]
+        return value
+
+    @wraps(build)
+    def memo(*args):
+        return by_truncation(*args)
+
+    def cache_clear() -> None:
+        by_truncation.cache_clear()
+        largest.clear()
+
+    memo.cache_clear = cache_clear
+    return memo
 
 
 def bernoulli_numbers(k_max: int) -> List[Fraction]:

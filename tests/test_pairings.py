@@ -1,3 +1,5 @@
+import random
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from statindex.cli import main
 from statindex.genera import euler_class_roots, generating_series, genus_series, root_variables
 from statindex.bundles import RootModel, lambda_minus1_dual, spinor_character
 from statindex.manifolds import catalog
-from statindex.series import TruncatedSeries, root_product
+from statindex.series import TruncatedSeries, grown, root_product
 from statindex.pairings import (
     FactorExpression,
     PAIRING_KINDS,
@@ -174,11 +176,74 @@ def test_verify_prints_the_same_in_any_order_as_one_shot(capsys):
         _clear_memos()
         main(argv)
         one_shot[tuple(argv)] = capsys.readouterr().out
-    for descending in (False, True):
+    # what the grown memos hold depends on the order of D
+    orders = [sorted(requests, key=lambda r: r[1], reverse=descending)
+              for descending in (False, True)]
+    for seed in range(3):
+        orders.append(random.Random(seed).sample(requests, len(requests)))
+    for order in orders:
         _clear_memos()
-        for argv, _ in sorted(requests, key=lambda r: r[1], reverse=descending):
+        for argv, _ in order:
             main(argv)
             assert capsys.readouterr().out == one_shot[tuple(argv)], argv
+
+
+GROWN_MEMOS = ((genera, "_root_factor"), (pairings, "_lower_root"),
+               (pairings, "_brute_block"), (pairings, "_literal_blocks"))
+
+
+def _counted(name, raw, builds, asks):
+    """A fresh grown memo of the raw builder ``raw`` that counts its builds
+    by (name, *key, D) in ``builds`` and puts the D's asked for per
+    (name, *key) in ``asks``."""
+    def build(*args):
+        builds[(name, *args)] += 1
+        return raw(*args)
+
+    memo = grown(build)
+
+    def ask(*args):
+        asks[(name, *args[:-1])].add(args[-1])
+        return memo(*args)
+
+    ask.cache_clear = memo.cache_clear
+    return ask
+
+
+@pytest.mark.parametrize("sweep", ("generating_series", "verify_identity"))
+def test_a_sweep_builds_each_block_once_per_key_down_and_once_per_D_up(monkeypatch, sweep):
+    def run(D):
+        if sweep == "generating_series":
+            for kind in genera.GENUS_KINDS:
+                generating_series(kind, D)
+        else:
+            for kind in PAIRING_KINDS:
+                verify_identity(kind, 1, D)
+
+    builds, asks = Counter(), defaultdict(set)
+    for module, name in GROWN_MEMOS:
+        raw = getattr(module, name).__wrapped__
+        monkeypatch.setattr(module, name, _counted(name, raw, builds, asks))
+    for descending in (True, False):
+        _clear_memos()
+        builds.clear()
+        asks.clear()
+        for D in sorted(range(1, 17), reverse=descending):
+            run(D)
+        built = defaultdict(list)
+        for (*key, D), count in builds.items():
+            assert count == 1, (key, D)
+            built[tuple(key)].append(D)
+        assert set(built) == set(asks)
+        for key, Ds in built.items():
+            # down: built at the largest D asked for; up: at every D asked for
+            assert sorted(Ds) == ([max(asks[key])] if descending else sorted(asks[key])), key
+    # every key is held at D = 16 or above; a cleared memo builds again
+    _clear_memos()
+    builds.clear()
+    asks.clear()
+    run(1)
+    assert {tuple(key) for *key, D in builds} == set(asks)
 
 
 def _bumped(block, k):

@@ -8,6 +8,7 @@ from statindex.series import (
     TruncatedSeries,
     bernoulli_numbers,
     format_rational,
+    grown,
     parse_rational,
     root_product,
     root_variables,
@@ -262,3 +263,31 @@ def test_operations_build_no_fractions(monkeypatch):
     assert built == []
     assert product.coefficient((1, 1)) == Fraction(-1, 6) * Fraction(7, 4)
     assert out[-1] == TruncatedSeries.constant(v, 5, 1)
+
+
+def test_grown_memo_truncates_what_it_holds_and_stays_bounded():
+    builds = []
+
+    def build(k, D):
+        builds.append((k, D))
+        return univariate(range(k, k + D + 1), D), (univariate([k], D), k)
+
+    memo = grown(build)
+    assert memo.__wrapped__ is build
+    held = memo(1, 9)
+    assert memo(1, 9) is held
+    low = memo(1, 4)
+    assert low == (held[0].truncate(4), (held[1][0].truncate(4), 1)) == build(1, 4)
+    assert memo(1, 4) is low
+    builds.clear()
+    memo(1, 12)
+    assert builds == [(1, 12)]
+    for k in range(2, 258):  # 256 more keys push key 1 out of both memos
+        memo(k, 9)
+    builds.clear()
+    memo(1, 3)
+    memo(257, 3)
+    assert builds == [(1, 3)]
+    memo.cache_clear()
+    memo(257, 3)
+    assert builds == [(1, 3), (257, 3)]

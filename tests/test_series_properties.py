@@ -7,7 +7,8 @@ checks (only series addition and scaling by a Fraction).  The integer form
 a series is held in is checked the same way: the linear operations and
 restrictions against Fraction-dict versions written here, equality and
 hashing against Fraction-dict equality, and the memoised one-variable
-factors against freshly built ones.  The rule verify uses to compare two
+factors against freshly built ones, whose value at a lower truncation must
+be their value at a higher one truncated.  The rule verify uses to compare two
 products over the roots on their one-variable blocks
 (``pairings._products_agree``) is checked against equality of the
 expanded products (``series.root_product``).
@@ -25,12 +26,16 @@ given, settings = hypothesis.given, hypothesis.settings
 
 from statindex.genera import GENUS_KINDS, _root_factor, generating_series  # noqa: E402
 from statindex.pairings import (  # noqa: E402
+    MODES,
     PAIRING_KINDS,
+    _brute_block,
+    _literal_blocks,
     _lower_root,
     _products_agree,
+    _root_data,
     _root_density,
 )
-from statindex.series import TruncatedSeries, root_product  # noqa: E402
+from statindex.series import TruncatedSeries, _truncated, root_product  # noqa: E402
 
 # dense series take every monomial when there are at most this many
 DENSE_LIMIT = 45
@@ -240,6 +245,28 @@ def test_memoised_factors_equal_fresh_ones(D):
             fresh = _lower_root.__wrapped__(f.power, f.exp_coeff, f.bose, f.fermi, D)
             assert root.root_factor(D) == fresh
             assert root.root_factor(D).terms == fresh.terms
+
+
+# every key of the four grown memos, with the lowest truncation its builder takes
+GROWN_KEYS = (
+    [(_root_factor, (kind,), 0) for kind in GENUS_KINDS]
+    + [(_lower_root, key, 0) for key in sorted({
+        (d.power, d.exp_coeff, d.bose, d.fermi)
+        for d in (_root_data(kind, mode) for kind in PAIRING_KINDS for mode in MODES)})]
+    + [(_brute_block, (kind,), 0) for kind in PAIRING_KINDS]
+    + [(_literal_blocks, (kind,), 1) for kind in ("bb", "bf")]
+)
+
+
+@PROPERTY
+@given(st.sampled_from(GROWN_KEYS), st.integers(0, 24), st.integers(0, 24))
+def test_a_block_truncated_is_the_block_built_at_the_lower_truncation(case, D, D_up):
+    builder, key, lowest = case
+    D, D_up = sorted((max(D, lowest), max(D_up, lowest)))
+    hypothesis.assume(D < D_up)
+    low = builder.__wrapped__(*key, D)
+    truncated = _truncated(builder.__wrapped__(*key, D_up), D)
+    assert truncated == low  # series compare by header, _den and _nums
 
 
 NONZERO = COEFFICIENTS.filter(bool)
