@@ -141,8 +141,8 @@ def _write_json(value, parts: List[str], indent: str) -> None:
             body = separator.join(_float_texts(value))
         else:
             body = type(value[0]) is dict and _records_text(value, inner)
-        if body:
-            parts.append("[" + inner + body + indent + "]")
+        if body:  # appended as it is: a long body is not copied again
+            parts += ("[" + inner, body, indent + "]")
             return
         opening = "[" + inner
         for item in value:
@@ -154,11 +154,17 @@ def _write_json(value, parts: List[str], indent: str) -> None:
         parts.append(_json_scalar(value))
 
 
+# records per slice that ``_records_text`` renders at a time
+_RECORD_SLICE = 1024
+
+
 def _records_text(records, indent: str) -> Optional[str]:
     """The items, at the nesting ``indent``, of a list of dicts that share
     one set of str keys and hold only floats, all through one row template.
     None for any other list that starts with a dict; unless that first dict
-    has only str keys and float values, it alone is looked at."""
+    has only str keys and float values, it alone is looked at.  The float
+    texts and rows are made one slice of ``_RECORD_SLICE`` records at a
+    time, so a long list never has all of them alive at once."""
     first = records[0]
     if not (first and all(type(v) is float for v in first.values())
             and all(type(k) is str for k in first)):
@@ -166,17 +172,22 @@ def _records_text(records, indent: str) -> Optional[str]:
     keys = sorted(first)
     if set(map(type, records)) != {dict} or set(map(len, records)) != {len(keys)}:
         return None
-    try:
-        columns = [[record[key] for record in records] for key in keys]
-    except KeyError:
-        return None
-    if any(set(map(type, column)) != {float} for column in columns):
-        return None
     inner = indent + "  "
     template = "{" + ",".join(
         inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
     ) + indent + "}"
-    return ("," + indent).join(map(template.__mod__, zip(*map(_float_texts, columns))))
+    separator = "," + indent
+    pieces = []
+    for start in range(0, len(records), _RECORD_SLICE):
+        chunk = records[start:start + _RECORD_SLICE]
+        try:
+            columns = [[record[key] for record in chunk] for key in keys]
+        except KeyError:
+            return None
+        if any(set(map(type, column)) != {float} for column in columns):
+            return None
+        pieces.append(separator.join(map(template.__mod__, zip(*map(_float_texts, columns)))))
+    return separator.join(pieces)
 
 
 def _json_text(payload) -> str:
@@ -510,8 +521,12 @@ def _cmd_stats(args: SimpleNamespace, config: RunConfig) -> int:
     with open(args.input, "r", encoding="utf-8") as handle:
         system = LevelSystem.from_json_dict(json.load(handle))
     report = grand_ensemble(system)
+    # checked before the first line is written, so an error prints nothing
+    check = None
+    if args.check_correspondence:
+        check = correspondence_check(system, tol=config.tolerance, ensemble=report)
     if config.fmt == "csv":
-        sys.stdout.write(report.csv_text())
+        sys.stdout.writelines(report.csv_chunks())
     elif config.fmt == "text":
         print(f"statistics        {system.statistics}")
         print(f"levels            {len(system.levels)}")
@@ -519,9 +534,6 @@ def _cmd_stats(args: SimpleNamespace, config: RunConfig) -> int:
         print(f"Xi                {_fmt_float(report.xi)}")
         print(f"Omega             {_fmt_float(report.omega)}")
         print(f"mean N            {_fmt_float(report.mean_particle_number)}")
-    check = None
-    if args.check_correspondence:
-        check = correspondence_check(system, tol=config.tolerance, ensemble=report)
     if config.fmt == "json":
         payload = report.to_json_dict()
         if check is not None:

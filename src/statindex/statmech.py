@@ -7,23 +7,32 @@ epsilon - mu and the Chern root y = -beta * x_sheaf = -x.  Both views are
 exposed explicitly (thermo_arguments / chern_roots) and never converted
 silently.
 
-Per-level values come from one kernel per statistics, chosen once per
-system: a pair of list comprehensions over the level arguments, one for
-ln Xi_level and one for the occupation n.  The scalar functions
-``log_level_partition`` and ``occupation`` run the same kernels on a single
-level, so a level's values do not depend on the route that asked for them.
-Whether e^v is in float range is one comparison, v <= ``bundles._LOG_MAX``:
-far above mu, where e^x is beyond it, n = e^{-x}/(1 -/+ e^{-x}) rounds to
-e^{-x}, a subnormal number or 0, and a per-level Xi beyond it is reported
-as Infinity.  Totals over many levels are accumulated in the log domain
-with ``math.fsum`` so that systems with thousands of levels do not overflow
-the linear-domain product.
+Per-level values come from one pair of kernels per statistics, chosen
+once per system: a list comprehension over the level arguments for
+ln Xi_level, and a generator for the occupation n, which goes straight
+into its tuple (MB's occupation is its ln Xi_level, so one kernel serves
+both).  The scalar functions ``log_level_partition`` and ``occupation`` run
+the same kernels on a single level, so a level's values do not depend on
+the route that asked for them.  Whether e^v is in float range is one
+comparison, v <= ``bundles._LOG_MAX``: far above mu, where e^x is beyond
+it, n = e^{-x}/(1 -/+ e^{-x}) rounds to e^{-x}, a subnormal number or 0,
+and a per-level Xi beyond it is reported as Infinity.  Totals over many
+levels are accumulated in the log domain with ``math.fsum`` so that
+systems with thousands of levels do not overflow the linear-domain
+product.
+
+A report holds each per-level array once.  It keeps the ln Xi_level that
+its total is summed from, and builds the per-level Xi from them only when
+that field is read, dropping the logs then; the CSV table is written in
+pieces of ``_CSV_CHUNK_ROWS`` rows, each taking only its own slice of Xi.
+So a text report never builds the per-level Xi, and a CSV report never
+holds all of it, nor all of its text.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._record import Record, store
 from .bundles import _LOG_MAX, DivergenceError, _safe_exp, fock_character_value
@@ -100,8 +109,9 @@ def _to_floats(values, what: str) -> Tuple[float, ...]:
 _LN2 = math.log(2.0)
 _BOSE_SUM_DIVERGES = "bosonic level sum diverges for x = {x} <= 0 (needs eps > mu)"
 
-# a per-level kernel: one value per level argument x
-_Kernel = Callable[[Sequence[float]], List[float]]
+# a per-level kernel: one value per level argument x, as a list (ln Xi_level)
+# or as an iterator (the occupation, read once into its tuple)
+_Kernel = Callable[[Sequence[float]], Iterable[float]]
 
 
 def _be_logs(xs: Sequence[float]) -> List[float]:
@@ -113,11 +123,11 @@ def _be_logs(xs: Sequence[float]) -> List[float]:
     return [-log(-expm1(-x)) if x <= _LN2 else -log1p(-exp(-x)) for x in xs]
 
 
-def _be_occupations(xs: Sequence[float]) -> List[float]:
+def _be_occupations(xs: Sequence[float]) -> Iterator[float]:
     """1/(e^x - 1), or e^{-x} where e^x is beyond float range.  Within 3e-16
     relative for x in (0, 708.39], where n is normal, and 5e-324 beyond."""
     exp, expm1, log_max = math.exp, math.expm1, _LOG_MAX
-    return [1.0 / expm1(x) if x <= log_max else exp(-x) for x in xs]
+    return (1.0 / expm1(x) if x <= log_max else exp(-x) for x in xs)
 
 
 def _fd_logs(xs: Sequence[float]) -> List[float]:
@@ -127,11 +137,11 @@ def _fd_logs(xs: Sequence[float]) -> List[float]:
     return [-x if x < -40.0 else log1p(exp(-x)) for x in xs]
 
 
-def _fd_occupations(xs: Sequence[float]) -> List[float]:
+def _fd_occupations(xs: Sequence[float]) -> Iterator[float]:
     """1/(e^x + 1), or e^{-x} where e^x is beyond float range.  Within 3e-16
     relative for x <= 708.39, where n is normal, and 5e-324 beyond."""
     exp, log_max = math.exp, _LOG_MAX
-    return [1.0 / (exp(x) + 1.0) if x <= log_max else exp(-x) for x in xs]
+    return (1.0 / (exp(x) + 1.0) if x <= log_max else exp(-x) for x in xs)
 
 
 def _mb_logs(xs: Sequence[float]) -> List[float]:
@@ -167,7 +177,8 @@ def log_level_partition(statistics: str, x: float) -> float:
     _check_statistics(statistics)
     if statistics == "BE" and x <= 0:
         raise ConvergenceError(_BOSE_SUM_DIVERGES.format(x=x))
-    return _KERNELS[statistics][0]((x,))[0]
+    (value,) = _KERNELS[statistics][0]((x,))
+    return value
 
 
 def occupation(statistics: str, x: float) -> float:
@@ -179,7 +190,8 @@ def occupation(statistics: str, x: float) -> float:
     _check_statistics(statistics)
     if statistics == "BE" and x <= 0:
         raise ConvergenceError(f"Bose-Einstein occupation diverges for x = {x} <= 0")
-    return _KERNELS[statistics][1]((x,))[0]
+    (value,) = _KERNELS[statistics][1]((x,))
+    return value
 
 
 def occupation_by_derivative(statistics: str, x: float, h: float) -> float:
@@ -239,7 +251,7 @@ class LevelSystem(Record):
     def thermo_arguments(self) -> Tuple[float, ...]:
         """x_i = alpha + beta*eps_i = beta*(eps_i - mu)."""
         beta, mu = self.beta, self.mu
-        return tuple([beta * (eps - mu) for eps in self.levels])
+        return tuple(beta * (eps - mu) for eps in self.levels)
 
     def sheaf_arguments(self) -> Tuple[float, ...]:
         """x_i = eps_i - mu, the convention with beta kept outside."""
@@ -270,24 +282,55 @@ class LevelSystem(Record):
         )
 
 
+# lines per piece of the streamed CSV table
+_CSV_CHUNK_ROWS = 1024
+
+
+def _level_xis(logs: Iterable[float]) -> Iterator[float]:
+    """Xi_level = e^v of each ln Xi_level v; Infinity where that passes max float."""
+    exp, inf, log_max = math.exp, math.inf, _LOG_MAX
+    return (inf if v > log_max else exp(v) for v in logs)
+
+
 class EnsembleReport(Record):
     """Per-level and total grand canonical quantities; ``arguments`` holds
-    the level arguments x_i = beta*(eps_i - mu) they were computed from."""
+    the level arguments x_i = beta*(eps_i - mu) they were computed from.
 
-    __slots__ = __match_args__ = ("system", "arguments", "per_level_xi", "per_level_occupation",
-                                  "log_xi", "xi", "omega", "mean_particle_number")
+    A report from ``grand_ensemble`` keeps ln Xi_level for each level and
+    builds ``per_level_xi`` from them on its first read, dropping the logs
+    then.  ``csv_chunks`` reads a slice of the logs per piece while they are
+    kept, so it never holds the whole per-level Xi.  Equality, hash, repr
+    and pickling read the field, as for any other record."""
+
+    __match_args__ = ("system", "arguments", "per_level_xi", "per_level_occupation",
+                      "log_xi", "xi", "omega", "mean_particle_number")
+    __slots__ = ("system", "arguments", "_per_level_xi", "_level_logs", "per_level_occupation",
+                 "log_xi", "xi", "omega", "mean_particle_number")
 
     def __init__(self, system: LevelSystem, arguments: Tuple[float, ...],
                  per_level_xi: Tuple[float, ...], per_level_occupation: Tuple[float, ...],
                  log_xi: float, xi: float, omega: float, mean_particle_number: float):
         store(self, "system", system)
         store(self, "arguments", arguments)
-        store(self, "per_level_xi", per_level_xi)
+        store(self, "_per_level_xi", per_level_xi)
+        store(self, "_level_logs", None)
         store(self, "per_level_occupation", per_level_occupation)
         store(self, "log_xi", log_xi)
         store(self, "xi", xi)
         store(self, "omega", omega)
         store(self, "mean_particle_number", mean_particle_number)
+
+    @property
+    def per_level_xi(self) -> Tuple[float, ...]:
+        """Xi_level = e^{ln Xi_level} of each level, Infinity where that
+        passes max float."""
+        if self._per_level_xi is None:
+            logs = self._level_logs
+            if logs is not None:  # else another thread has just built the tuple
+                # stored before the logs are dropped, so a reader finds one of them
+                store(self, "_per_level_xi", tuple(_level_xis(logs)))
+                store(self, "_level_logs", None)
+        return self._per_level_xi
 
     def to_json_dict(self) -> dict:
         return {
@@ -305,19 +348,24 @@ class EnsembleReport(Record):
             "temperature": self.system.temperature,
         }
 
+    def csv_chunks(self) -> Iterator[str]:
+        """The CSV table in pieces: the header line, then the lines of
+        ``_CSV_CHUNK_ROWS`` levels at a time; floats with 17 significant
+        digits."""
+        yield "level,epsilon,x,xi,occupation\n"
+        levels, xs, ns = self.system.levels, self.arguments, self.per_level_occupation
+        for start in range(0, len(xs), _CSV_CHUNK_ROWS):
+            stop = start + _CSV_CHUNK_ROWS
+            logs = self._level_logs
+            xis = self._per_level_xi[start:stop] if logs is None else _level_xis(logs[start:stop])
+            rows = zip(range(start, stop), levels[start:stop], xs[start:stop], xis,
+                       ns[start:stop])
+            yield "".join(["%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows])
+
     def csv_text(self) -> str:
-        """The CSV table, one line per level after the header; floats with
-        17 significant digits."""
-        rows = zip(
-            range(len(self.arguments)),
-            self.system.levels,
-            self.arguments,
-            self.per_level_xi,
-            self.per_level_occupation,
-        )
-        return "level,epsilon,x,xi,occupation\n" + "".join(
-            ["%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows]
-        )
+        """The CSV table, one line per level after the header: ``csv_chunks``
+        joined."""
+        return "".join(self.csv_chunks())
 
     def csv_rows(self) -> List[Tuple[str, ...]]:
         """The CSV table as rows of fields, header first."""
@@ -327,10 +375,11 @@ class EnsembleReport(Record):
 def grand_ensemble(system: LevelSystem) -> EnsembleReport:
     """Full ensemble report in one pass over the levels.
 
-    The statistics' kernel gives ln Xi_level and n for every level; the
-    per-level Xi is exp of the logs (Infinity where that overflows) and the
-    total ln Xi is their ``math.fsum``, so the total Xi is accumulated in the
-    log domain; a total beyond float range raises OverflowError.
+    The statistics' kernels give ln Xi_level and n for every level; the
+    total ln Xi is the ``math.fsum`` of the logs, so the total Xi is
+    accumulated in the log domain; a total beyond float range raises
+    OverflowError.  The report keeps the logs, and the per-level Xi is exp
+    of them (Infinity where that overflows), built when first read.
     Occupations far above mu underflow to e^{-x} instead of overflowing;
     see the module docstring.
     """
@@ -338,26 +387,31 @@ def grand_ensemble(system: LevelSystem) -> EnsembleReport:
     if system.statistics == "BE" and xs and min(xs) <= 0:
         raise ConvergenceError(_BOSE_SUM_DIVERGES.format(x=next(x for x in xs if x <= 0)))
     log_kernel, occupation_kernel = _KERNELS[system.statistics]
-    exp, inf, log_max = math.exp, math.inf, _LOG_MAX
     try:
         logs = log_kernel(xs)
         log_xi = math.fsum(logs)
     except OverflowError:  # MB's e^{-x}, or the sum of finite logs, passes max float
-        log_xi = inf
-    if log_xi == inf:  # or a level's log is inf
+        log_xi = math.inf
+    if log_xi == math.inf:  # or a level's log is inf
         raise OverflowError("ln Xi is beyond float range")
-    per_n = logs if occupation_kernel is log_kernel else occupation_kernel(xs)
-    per_xi = [inf if v > log_max else exp(v) for v in logs]
-    return EnsembleReport(
+    if occupation_kernel is log_kernel:  # MB: the occupations are the logs
+        per_n = logs = tuple(logs)
+        mean_n = log_xi
+    else:
+        per_n = tuple(occupation_kernel(xs))
+        mean_n = math.fsum(per_n)
+    report = EnsembleReport(
         system=system,
         arguments=xs,
-        per_level_xi=tuple(per_xi),
-        per_level_occupation=tuple(per_n),
+        per_level_xi=None,
+        per_level_occupation=per_n,
         log_xi=log_xi,
         xi=_safe_exp(log_xi),
         omega=-log_xi / system.beta,
-        mean_particle_number=math.fsum(per_n),
+        mean_particle_number=mean_n,
     )
+    store(report, "_level_logs", logs)
+    return report
 
 
 def bose_geometric_sum(

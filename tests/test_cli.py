@@ -156,6 +156,22 @@ def test_stats_text_and_correspondence(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("payload, message", [
+    ({"levels": [1.0, 2.0], "mu": 0.0, "beta": 1.0, "statistics": "MB"},
+     "the correspondence is defined for BE and FD"),
+    # x = 1e-7: the geometric sum needs about 4.6e8 terms
+    ({"levels": [1e-7, 1.0], "mu": 0.0, "beta": 1.0, "statistics": "BE"}, "tail bound needs"),
+], ids=["mb", "be-near-mu"])
+def test_correspondence_error_prints_nothing_on_stdout(tmp_path, capsys, fmt, payload, message):
+    # the check runs before the report is written, so exit 2 leaves stdout empty
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "--format", fmt, "stats", str(path), "--check-correspondence")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}"), err
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_failed_correspondence_exits_1_in_every_format(tmp_path, monkeypatch, capsys, fmt):
     real = cli.correspondence_check
     calls = []

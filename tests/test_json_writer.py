@@ -14,7 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
-from statindex.cli import _json_text, _records_text, main  # noqa: E402
+from statindex.cli import _RECORD_SLICE, _json_text, _records_text, main  # noqa: E402
 from statindex.statmech import LevelSystem, correspondence_check, grand_ensemble  # noqa: E402
 
 FLOATS = st.one_of(
@@ -132,6 +132,18 @@ class _Float(float):
 def test_near_records_fall_back(records):
     if type(records[0]) is dict:  # no other list is tried as records
         assert _records_text(records, "\n  ") is None
+    assert _json_text(records) == _dumps(records)
+
+
+@pytest.mark.parametrize("at", [_RECORD_SLICE - 1, _RECORD_SLICE, 2 * _RECORD_SLICE])
+@pytest.mark.parametrize("misfit", [{"a": 1}, {"b": 1.0}], ids=["int", "other-key"])
+def test_records_misfit_in_a_later_slice_falls_back(at, misfit):
+    # records are rendered a slice at a time; a misfit in any slice sends
+    # the whole list to the general path
+    records = [{"a": i / 7} for i in range(2 * _RECORD_SLICE + 1)]
+    assert _json_text(records) == _dumps(records)
+    records[at] = misfit
+    assert _records_text(records, "\n  ") is None
     assert _json_text(records) == _dumps(records)
 
 

@@ -1,11 +1,18 @@
+import contextlib
+import json
 import math
+import pickle
 import random
+import tracemalloc
 
 import pytest
 
 from statindex.bundles import _LOG_MAX, _safe_exp, fock_character_value
+from statindex.cli import main
 from statindex.statmech import (
+    _CSV_CHUNK_ROWS,
     ConvergenceError,
+    EnsembleReport,
     LevelSystem,
     TailBoundError,
     _be_logs,
@@ -370,6 +377,81 @@ def test_ensemble_report_json():
     assert len(rows) == 2
     assert report.csv_text() == "".join(",".join(row) + "\n" for row in rows)
     assert rows[1] == ("0", f"{LN2:.17g}", f"{LN2:.17g}", "1.5", f"{1 / 3:.17g}")
+
+
+def _one_line_csv(report):
+    """The CSV table by the one-line rule it had before it was streamed."""
+    rows = zip(range(len(report.arguments)), report.system.levels, report.arguments,
+               report.per_level_xi, report.per_level_occupation)
+    return "level,epsilon,x,xi,occupation\n" + "".join(
+        ["%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows])
+
+
+def _write_system(tmp_path, system):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system.to_json_dict()))
+    return str(path)
+
+
+def _stats_to_file(tmp_path, fmt, input_path):
+    """Exit code of ``stats`` on the system file, stdout sent to a file."""
+    with open(tmp_path / "stdout.txt", "w", encoding="utf-8") as out:
+        with contextlib.redirect_stdout(out):
+            return main(["--format", fmt, "stats", input_path])
+
+
+@pytest.mark.parametrize("n", [0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
+                               2 * _CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("statistics", ["BE", "FD", "MB"])
+def test_streamed_csv_is_the_one_line_table(tmp_path, statistics, n):
+    rng = random.Random(f"{statistics}:{n}")
+    levels = [rng.uniform(0.5, 20.0) for _ in range(n)]
+    if statistics == "FD" and levels:
+        levels[n // 2] = -800.0  # x = -800: the level's xi is inf
+    system = LevelSystem(levels=levels, mu=-0.3, beta=1.1, statistics=statistics)
+    streamed, read_first = grand_ensemble(system), grand_ensemble(system)
+    xi = read_first.per_level_xi
+    assert read_first._level_logs is None  # dropped once the tuple is built
+    assert (statistics == "FD" and n > 0) == (math.inf in xi)
+    # compared as lists of lines: pytest reports the first differing line of
+    # a list at once, where a diff of two long strings takes minutes
+    lines = streamed.csv_text().splitlines(keepends=True)
+    assert lines == _one_line_csv(streamed).splitlines(keepends=True)
+    assert read_first.csv_text().splitlines(keepends=True) == lines
+    assert len(lines) == n + 1
+    # csv_text builds no per-level Xi; a later read builds the same tuple
+    assert streamed.per_level_xi == xi and read_first.per_level_xi is xi
+    assert _stats_to_file(tmp_path, "csv", _write_system(tmp_path, system)) == 0
+    assert (tmp_path / "stdout.txt").read_text(encoding="utf-8").splitlines(keepends=True) == lines
+    explicit = EnsembleReport(system, streamed.arguments, xi,
+                              streamed.per_level_occupation, streamed.log_xi, streamed.xi,
+                              streamed.omega, streamed.mean_particle_number)
+    fresh = grand_ensemble(system)
+    assert fresh == explicit and hash(fresh) == hash(explicit)
+    assert pickle.loads(pickle.dumps(grand_ensemble(system))) == explicit
+    assert repr(grand_ensemble(system)) == repr(explicit)
+
+
+def test_csv_request_peaks_like_the_text_request(tmp_path):
+    # the CSV table is written in pieces, each with its own slice of Xi, so
+    # the request holds no more than the text one, which prints six totals
+    rng = random.Random(26)
+    (tmp_path / "large").mkdir()
+    system = LevelSystem(levels=[rng.uniform(0.5, 20.0) for _ in range(100_000)],
+                         mu=-0.5, beta=1.2, statistics="FD")
+    large = _write_system(tmp_path / "large", system)
+    small = _write_system(tmp_path, LevelSystem((1.0, 2.0), 0.0, 1.0, "FD"))
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for fmt in ("text", "csv"):
+            assert _stats_to_file(tmp_path, fmt, small) == 0  # lazy set-up is not counted
+            tracemalloc.reset_peak()
+            assert _stats_to_file(tmp_path, fmt, large) == 0
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peaks["csv"] <= 1.1 * peaks["text"], peaks
 
 
 def test_bose_geometric_sum_rejects_hopeless_sums_before_looping():
