@@ -36,7 +36,7 @@ from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from ._record import Record, store
-from .series import Exponents, TruncatedSeries, _check_root_block
+from .series import Exponents, TruncatedSeries, _check_root_block, _coerce
 from .symmetric import CHERN, PONTRYAGIN, ChernPolynomial
 from .genera import generating_series
 
@@ -321,7 +321,7 @@ def multiplicative_class(
     the largest cp dimension of the model; the class is the product of its
     catalog factors' classes (see the module docstring).
     """
-    classes = _factor_classes(model, factor, Fraction(scalar))
+    classes = _factor_classes(model, factor, _coerce(scalar))
     if classes is None:
         return model.zero()
     terms: Dict[Exponents, Fraction] = {(): Fraction(1)}
@@ -343,7 +343,7 @@ def multiplicative_integral(
 ) -> Fraction:
     """Integral of prod_i s f(x_i) over the manifold: the product of the
     catalog factors' top coefficients (0 when a torus factor is present)."""
-    classes = _factor_classes(model, factor, Fraction(scalar))
+    classes = _factor_classes(model, factor, _coerce(scalar))
     if classes is None or model.top_exponents is None:
         return Fraction(0)
     value = model.top_integral

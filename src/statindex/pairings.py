@@ -46,14 +46,16 @@ Every block is memoised by ``series.grown``, with the truncation D as its
 last argument: per key it holds the value at the largest D built so far,
 and per (key, D) the value returned, so a repeat returns the same object, a
 lower D is that value truncated, and a key is built again only for a D above
-every D built for it.  The keys are (power, exp_coeff, bose, fermi) for
-``_lower_root`` and the kind for route (b)'s ``_brute_block`` and the
-literal check's ``_literal_blocks``; each level holds at most 256 entries.
-The one-root density's data ``_root_data`` (an immutable ``_RootDensity``)
-is held in an ``lru_cache(maxsize=256)`` by (kind, mode), from which
-``pairing_density`` builds a fresh expression, since the atom
-multiplications mutate it.  Route (b)'s memo is kept apart from
-``_lower_root``, and neither is built from the other.
+every D built for it.  The keys are the root's factor for ``_lower_root``
+and the kind for route (b)'s ``_brute_block`` and the literal check's
+``_literal_blocks``; each level holds at most 256 entries.
+
+A root's factor is one immutable record (``_RootFactor``), so one value
+serves as the atom state, the memo key and the one-root density: an atom
+multiplication replaces the root's record, ``_root_data`` holds (scalar,
+factor) per (kind, mode) in an ``lru_cache(maxsize=256)``, and
+``pairing_density`` shares that one factor across its l roots.  Route (b)'s
+memo is kept apart from ``_lower_root``, and neither is built from the other.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ from typing import List, Optional, Tuple, Union
 
 from ._record import Record, store
 from .series import (
-    TruncatedSeries, _check_root_block, format_rational, grown, root_product, root_variables,
+    TruncatedSeries, _check_root_block, _coerce, format_rational, grown, root_product,
+    root_variables,
 )
 from .symmetric import ChernPolynomial, multiplicative_sequence
 from .genera import generating_series
@@ -99,25 +102,28 @@ class PoleError(ValueError):
     """A factored density with an uncancelled pole cannot be lowered to a series."""
 
 
-class _RootFactor(Record, frozen=False):
+class _RootFactor(Record):
+    """One root's factor x^power e^{exp_coeff x} (1 - e^{-x})^bose (1 + e^{-x})^fermi.
+
+    Immutable, so one record is shared: it is the atom state of a
+    ``FactorExpression``, the memo key of ``_lower_root`` and the factor
+    ``_root_data`` holds."""
+
     __slots__ = __match_args__ = ("power", "exp_coeff", "bose", "fermi")
 
     def __init__(self, power: int = 0, exp_coeff: Fraction = Fraction(0), bose: int = 0,
                  fermi: int = 0):
-        self.power = power
-        self.exp_coeff = exp_coeff
-        self.bose = bose
-        self.fermi = fermi
-
-    def copy(self) -> "_RootFactor":
-        return _RootFactor(self.power, self.exp_coeff, self.bose, self.fermi)
+        store(self, "power", power)
+        store(self, "exp_coeff", exp_coeff)
+        store(self, "bose", bose)
+        store(self, "fermi", fermi)
 
 
 @grown
-def _lower_root(power: int, exp_coeff: Fraction, bose: int, fermi: int, D: int) -> TruncatedSeries:
+def _lower_root(factor: _RootFactor, D: int) -> TruncatedSeries:
     """One root's factor x^p e^{s x} (1 - e^{-x})^b (1 + e^{-x})^f as a
-    series in ``x1`` through degree D.  Held per (p, s, b, f) at the largest
-    D built so far and per (p, s, b, f, D) as returned, at most 256 of each
+    series in ``x1`` through degree D.  Held per factor at the largest D
+    built so far and per (factor, D) as returned, at most 256 of each
     (``series.grown``): a factor is built again only for a D above every D
     built for it.  The series are shared (they are immutable).
 
@@ -125,6 +131,7 @@ def _lower_root(power: int, exp_coeff: Fraction, bose: int, fermi: int, D: int) 
     inverse bose factor needs x powers p + b >= 0 to cover it; otherwise the
     factor has a genuine pole.
     """
+    power, bose, fermi = factor.power, factor.bose, factor.fermi
     variables = ("x1",)
     net = power + bose
     if net < 0:
@@ -135,8 +142,8 @@ def _lower_root(power: int, exp_coeff: Fraction, bose: int, fermi: int, D: int) 
         u = (TruncatedSeries.constant(variables, D + 1, 1) - (-x).exp()).quotient_by("x1")
         out = out * (u ** bose if bose > 0 else u.invert() ** (-bose))
     x = TruncatedSeries.variable(variables, D, "x1")
-    if exp_coeff:
-        out = out * (x * exp_coeff).exp()
+    if factor.exp_coeff:
+        out = out * (x * factor.exp_coeff).exp()
     if fermi:
         g = TruncatedSeries.constant(variables, D, 1) + (-x).exp()
         out = out * (g ** fermi if fermi > 0 else g.invert() ** (-fermi))
@@ -153,7 +160,7 @@ class FactorExpression:
         if l < 1:
             raise ValueError("need at least one root")
         self.scalar = Fraction(1)
-        self.factors = [_RootFactor() for _ in range(l)]
+        self.factors = [_RootFactor()] * l
 
     @property
     def n_roots(self) -> int:
@@ -161,56 +168,58 @@ class FactorExpression:
 
     # -- atom multiplication (all normalize into the canonical atoms) ------
 
+    def _mul_root(self, i: int, power=0, exp_coeff=0, bose=0, fermi=0) -> "FactorExpression":
+        """Root i's factor times x^power e^{exp_coeff x} (1 - e^{-x})^bose
+        (1 + e^{-x})^fermi, as a new record; an inexact exponent is a TypeError."""
+        for n in (power, bose, fermi):
+            if not isinstance(n, int):
+                raise TypeError(f"integer exponent expected, got {type(n).__name__}")
+        f = self.factors[i]
+        self.factors[i] = _RootFactor(f.power + power, f.exp_coeff + _coerce(exp_coeff),
+                                      f.bose + bose, f.fermi + fermi)
+        return self
+
     def mul_scalar(self, value) -> "FactorExpression":
-        self.scalar *= Fraction(value)
+        self.scalar *= _coerce(value)
         return self
 
     def mul_power(self, i: int, k: int) -> "FactorExpression":
-        self.factors[i].power += k
-        return self
+        return self._mul_root(i, power=k)
 
     def mul_exp(self, i: int, s) -> "FactorExpression":
-        self.factors[i].exp_coeff += Fraction(s)
-        return self
+        return self._mul_root(i, exp_coeff=s)
 
     def mul_bose_minus(self, i: int, n: int) -> "FactorExpression":
         """(1 - e^{-x_i})^n"""
-        self.factors[i].bose += n
-        return self
+        return self._mul_root(i, bose=n)
 
     def mul_fermi_minus(self, i: int, n: int) -> "FactorExpression":
         """(1 + e^{-x_i})^n"""
-        self.factors[i].fermi += n
-        return self
+        return self._mul_root(i, fermi=n)
 
     def mul_bose_plus(self, i: int, n: int) -> "FactorExpression":
         """(1 - e^{x_i})^n = (-1)^n e^{n x_i} (1 - e^{-x_i})^n"""
+        self._mul_root(i, exp_coeff=n, bose=n)
         if n % 2:
             self.scalar = -self.scalar
-        self.factors[i].exp_coeff += n
-        self.factors[i].bose += n
         return self
 
     def mul_fermi_plus(self, i: int, n: int) -> "FactorExpression":
         """(1 + e^{x_i})^n = e^{n x_i} (1 + e^{-x_i})^n"""
-        self.factors[i].exp_coeff += n
-        self.factors[i].fermi += n
-        return self
+        return self._mul_root(i, exp_coeff=n, fermi=n)
 
     # -- canonical-form consumers ------------------------------------------
 
     def copy(self) -> "FactorExpression":
         out = FactorExpression(self.n_roots)
         out.scalar = self.scalar
-        out.factors = [f.copy() for f in self.factors]
+        out.factors = self.factors.copy()
         return out
 
     def nondegenerate_limit(self) -> "FactorExpression":
         """Substitute e^{-x_i} -> 0: every (1 +- e^{-x_i})^n factor becomes 1."""
         out = self.copy()
-        for f in out.factors:
-            f.bose = 0
-            f.fermi = 0
+        out.factors = [_RootFactor(f.power, f.exp_coeff) for f in self.factors]
         return out
 
     def is_root_monomial(self) -> bool:
@@ -224,7 +233,7 @@ class FactorExpression:
         product of every root's one-variable lowering (``_lower_root``).
         Raises PoleError when an inverse bose factor is not covered by x
         powers."""
-        blocks = [_lower_root(f.power, f.exp_coeff, f.bose, f.fermi, D) for f in self.factors]
+        blocks = [_lower_root(f, D) for f in self.factors]
         return root_product(blocks, D, self.scalar)
 
     def root_factor(self, D: int) -> TruncatedSeries:
@@ -237,7 +246,7 @@ class FactorExpression:
         first = self.factors[0]
         if any(f != first for f in self.factors):
             raise ValueError("roots carry different factors")
-        return _lower_root(first.power, first.exp_coeff, first.bose, first.fermi, D)
+        return _lower_root(first, D)
 
     def canonical_string(self) -> str:
         variables = root_variables(self.n_roots)
@@ -277,25 +286,12 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
-class _RootDensity(Record):
-    """The one-root density as data: its scalar and its factor's exponents."""
-
-    __slots__ = __match_args__ = ("scalar", "power", "exp_coeff", "bose", "fermi")
-
-    def __init__(self, scalar: Fraction, power: int, exp_coeff: Fraction, bose: int, fermi: int):
-        store(self, "scalar", scalar)
-        store(self, "power", power)
-        store(self, "exp_coeff", exp_coeff)
-        store(self, "bose", bose)
-        store(self, "fermi", fermi)
-
-
 @lru_cache(maxsize=256)
-def _root_data(kind: str, mode: str) -> _RootDensity:
-    """The density on one root: the factor every root carries, with its
-    share of the scalar (the bb parity prefactor (-1)^{l(2l+1)} = (-1)^l
-    is one sign per root).  Built once per process by the atom
-    multiplications and held as an immutable record."""
+def _root_data(kind: str, mode: str) -> Tuple[Fraction, _RootFactor]:
+    """The density on one root: its share of the scalar (the bb parity
+    prefactor (-1)^{l(2l+1)} = (-1)^l is one sign per root) and the factor
+    every root carries.  Built once per process by the atom multiplications;
+    both are immutable, so every caller gets the same pair."""
     _check_kind(kind)
     _check_mode(mode)
     root = FactorExpression(1)
@@ -321,26 +317,18 @@ def _root_data(kind: str, mode: str) -> _RootDensity:
         raise AssertionError(kind)
     if mode == "nondegenerate":
         root = root.nondegenerate_limit()
-    f = root.factors[0]
-    return _RootDensity(root.scalar, f.power, f.exp_coeff, f.bose, f.fermi)
+    return root.scalar, root.factors[0]
 
 
 def pairing_density(kind: str, l: int, mode: str = "exact") -> FactorExpression:
     """The pairing's index density in canonical factored form: each of the
-    l roots carries a copy of the one-root factor, the scalar its l-th
-    power.  The expression is fresh, since the atom multiplications
-    mutate it."""
-    root = _root_data(kind, mode)
+    l roots carries the one-root factor, the scalar its l-th power.  The
+    expression is a new one, so its atom multiplications change no other."""
+    scalar, factor = _root_data(kind, mode)
     expr = FactorExpression(l)
-    expr.scalar = root.scalar ** l
-    expr.factors = [_RootFactor(root.power, root.exp_coeff, root.bose, root.fermi)
-                    for _ in range(l)]
+    expr.scalar = scalar ** l
+    expr.factors = [factor] * l
     return expr
-
-
-def _root_density(kind: str, mode: str) -> FactorExpression:
-    """The density on one root as a fresh expression."""
-    return pairing_density(kind, 1, mode)
 
 
 def density_series(kind: str, l: int, mode: str, D: int) -> TruncatedSeries:
@@ -371,8 +359,8 @@ class IndexReport(Record):
     @cached_property
     def density(self) -> ChernPolynomial:
         l = self.roots
-        root = _root_density(self.pairing, self.mode)
-        return multiplicative_sequence(root.root_factor(l) * root.scalar, l, l)
+        scalar, factor = _root_data(self.pairing, self.mode)
+        return multiplicative_sequence(_lower_root(factor, l) * scalar, l, l)
 
     @cached_property
     def density_form(self) -> str:
@@ -422,8 +410,8 @@ def pairing_index(
     model, _ = _resolve(manifold)
     l = model.complex_dim
     _check_truncation(model.real_dimension if D is None else D, l)
-    root = _root_density(kind, mode)
-    value = multiplicative_integral(model, root.root_factor(l), root.scalar)
+    scalar, factor = _root_data(kind, mode)
+    value = multiplicative_integral(model, _lower_root(factor, l), scalar)
     return IndexReport(
         manifold=model.name, pairing=kind, mode=mode, index_value=value, roots=l
     )

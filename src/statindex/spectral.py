@@ -22,12 +22,13 @@ is; the term-by-term sum ``_affine_terms`` is kept as the tests' oracle.
 
 Every product over a finite spectrum is exp of a combination of three
 fsums: sum ln lambda, ln Xi_BE and ln Xi_FD.  A pairing's one-root density
-(``pairings._root_data(kind, mode)``) is lambda^p (1 - e^{-lambda})^b
-(1 + e^{-lambda})^f, so its product is exp(p sum ln lambda - b ln Xi_BE +
-f ln Xi_FD): fb exact is det Xi_BE Xi_FD, bf exact det / (Xi_BE Xi_FD)^2,
-and the other six values det.  The bb and bf densities pair every root x
-with -x; in canonical form the pair is the per-root factor of the squared
-de-Rham/Todd convention that the grading lambda_i^+ = lambda_i^- gives.
+(``pairings._root_data(kind, mode)``, the scalar 1 and a ``_RootFactor``) is
+lambda^p (1 - e^{-lambda})^b (1 + e^{-lambda})^f, so its product is
+exp(p sum ln lambda - b ln Xi_BE + f ln Xi_FD): fb exact is det Xi_BE
+Xi_FD, bf exact det / (Xi_BE Xi_FD)^2, and the other six values det.  The
+bb and bf densities pair every root x with -x; in canonical form the pair is
+the per-root factor of the squared de-Rham/Todd convention that the grading
+lambda_i^+ = lambda_i^- gives.
 """
 
 from __future__ import annotations
@@ -440,7 +441,7 @@ def _log_sums(eigenvalues: Sequence[float]) -> Tuple[float, float, float]:
 def _pairing_value(log_sums: Tuple[float, float, float], kind: str, mode: str) -> float:
     """exp(p ln det - b ln Xi_BE + f ln Xi_FD); the small integer multiples
     are exact, so the exponent is rounded once."""
-    root = _root_data(kind, mode)
+    _, root = _root_data(kind, mode)
     log_det, log_xi_be, log_xi_fd = log_sums
     return _safe_exp(math.fsum((root.power * log_det, -root.bose * log_xi_be,
                                 root.fermi * log_xi_fd)))

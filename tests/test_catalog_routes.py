@@ -31,7 +31,7 @@ from statindex.manifolds import (  # noqa: E402
     catalog,
     evaluate_chern_polynomial,
 )
-from statindex.pairings import _root_density, hrr_index  # noqa: E402
+from statindex.pairings import hrr_index, pairing_density  # noqa: E402
 from statindex.series import TruncatedSeries  # noqa: E402
 from statindex.symmetric import (  # noqa: E402
     CHERN,
@@ -187,7 +187,7 @@ def test_bad_names_raise_every_time(name, message):
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_memoised_factor_classes_equal_fresh_ones(n):
     factors = [generating_series(kind, n) for kind in ("todd", "ahat", "bhat")]
-    factors.append(_root_density("fb", "exact").root_factor(n))
+    factors.append(pairing_density("fb", 1).root_factor(n))
     for factor in factors:
         for kind in ("cp", "torus"):
             for scalar in (Fraction(1), Fraction(-3, 2)):

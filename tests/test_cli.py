@@ -171,6 +171,19 @@ def test_correspondence_error_prints_nothing_on_stdout(tmp_path, capsys, fmt, pa
     assert err.startswith(f"error: {message}"), err
 
 
+@pytest.mark.parametrize("options, extra", [
+    ((), ()), (("--format", "json"), ()), (("--format", "csv"), ()), ((), ("--check-correspondence",)),
+], ids=["text", "json", "csv", "check"])
+def test_be_argument_underflowing_to_zero_diverges(tmp_path, capsys, options, extra):
+    # both values pass LevelSystem's check, but beta (eps - mu) rounds to 0.0
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"levels": [1e-300], "mu": 0.0, "beta": 1e-300,
+                                "statistics": "BE"}))
+    code, out, err = run(capsys, *options, "stats", str(path), *extra)
+    assert (code, out) == (2, "")
+    assert err == "error: bosonic level sum diverges for x = 0.0 <= 0 (needs eps > mu)\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_failed_correspondence_exits_1_in_every_format(tmp_path, monkeypatch, capsys, fmt):
     real = cli.correspondence_check

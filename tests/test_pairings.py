@@ -38,6 +38,55 @@ def test_fb_canonical_form():
     assert (f.power, f.exp_coeff, f.bose, f.fermi) == (1, 0, -1, 1)
 
 
+def test_canonical_string_spells_every_atom():
+    expr = (FactorExpression(2).mul_scalar(Fraction(-2, 3)).mul_power(0, 2)
+            .mul_exp(1, Fraction(1, 3)).mul_bose_minus(1, 1).mul_fermi_minus(0, -2))
+    assert expr.canonical_string() == (
+        "-2/3 * x1^2 * (1+exp(-x1))^-2 * exp(1/3*x2) * (1-exp(-x2))")
+    assert FactorExpression(3).canonical_string() == "1"
+
+
+# each atom on one root, and the canonical form it gives FactorExpression(1)
+ATOMS = {
+    "mul_scalar": (lambda e, v: e.mul_scalar(v), "{}"),
+    "mul_power": (lambda e, v: e.mul_power(0, v), "x1^{}"),
+    "mul_exp": (lambda e, v: e.mul_exp(0, v), "exp({}*x1)"),
+    "mul_bose_minus": (lambda e, v: e.mul_bose_minus(0, v), "(1-exp(-x1))^{}"),
+    "mul_fermi_minus": (lambda e, v: e.mul_fermi_minus(0, v), "(1+exp(-x1))^{}"),
+    "mul_bose_plus": (lambda e, v: e.mul_bose_plus(0, v), "exp({0}*x1) * (1-exp(-x1))^{0}"),
+    "mul_fermi_plus": (lambda e, v: e.mul_fermi_plus(0, v), "exp({0}*x1) * (1+exp(-x1))^{0}"),
+}
+
+
+@pytest.mark.parametrize("value", (2, Fraction(3, 2), Fraction(2), 0.5, 2.0, "2", None), ids=repr)
+@pytest.mark.parametrize("atom", sorted(ATOMS))
+def test_atoms_take_exact_values_only(atom, value):
+    # the scalar and the exp coefficient are rationals, the other exponents ints
+    multiply, form = ATOMS[atom]
+    exact = (int, Fraction) if atom in ("mul_scalar", "mul_exp") else (int,)
+    expr = FactorExpression(1)
+    if type(value) in exact:
+        assert multiply(expr, value) is expr
+        assert expr.canonical_string() == form.format(value)
+    else:
+        with pytest.raises(TypeError, match="expected, got"):
+            multiply(expr, value)
+        assert expr.canonical_string() == "1"  # a refused value changes nothing
+
+
+@pytest.mark.parametrize("scalar", (3, Fraction(3, 2), 0.1, 3.0, "3"), ids=repr)
+@pytest.mark.parametrize("evaluate", (manifolds.multiplicative_class,
+                                      manifolds.multiplicative_integral))
+def test_multiplicative_scalar_is_exact(evaluate, scalar):
+    model, _ = catalog("cp2")
+    todd = generating_series("todd", 2)
+    if type(scalar) in (int, Fraction):
+        assert evaluate(model, todd, scalar) == evaluate(model, todd) * scalar ** 2
+    else:
+        with pytest.raises(TypeError, match="exact coefficient expected"):
+            evaluate(model, todd, scalar)
+
+
 def test_bb_canonical_is_monomial_with_prefactor():
     expr = pairing_density("bb", 1)
     assert expr.is_root_monomial()
@@ -119,6 +168,19 @@ def test_spinor_times_genus_series_is_product_of_root_blocks(kind, genus, l):
         assert product == root_product([block] * l, D, sign ** l)
 
 
+@pytest.mark.parametrize("mode", ("exact", "nondegenerate"))
+@pytest.mark.parametrize("kind", PAIRING_KINDS)
+def test_roots_share_the_one_memoised_factor(kind, mode):
+    data = pairings._root_data(kind, mode)
+    assert pairings._root_data(kind, mode) is data
+    for l in (1, 2, 5):
+        factors = pairing_density(kind, l, mode).factors
+        assert len(factors) == l and all(f is data[1] for f in factors)
+        assert factors is not pairing_density(kind, l, mode).factors
+    unit = FactorExpression(3).factors
+    assert unit == [pairings._RootFactor()] * 3 and all(f is unit[0] for f in unit)
+
+
 def test_brute_series_bypasses_factored_algebra(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("route (b) reached the factored algebra")
@@ -133,15 +195,20 @@ def test_brute_series_bypasses_factored_algebra(monkeypatch):
 
 
 def test_memoised_blocks_survive_callers_and_equal_fresh_builds():
-    # the callers get fresh expressions; mutating them leaves the memo alone
+    # the callers get new expressions over immutable factors; multiplying
+    # atoms into them leaves the memo and every other expression alone
     for kind in PAIRING_KINDS:
         for mode in pairings.MODES:
             memo = pairings._root_data(kind, mode)
+            other = pairing_density(kind, 3, mode)
             expr = pairing_density(kind, 3, mode)
             expr.mul_scalar(7).mul_power(0, 2).mul_exp(1, 1).mul_bose_plus(2, 1)
-            expr.mul_fermi_minus(0, -3).factors[1].bose += 5
+            with pytest.raises(AttributeError):
+                expr.mul_fermi_minus(0, -3).factors[1].bose += 5
             expr.nondegenerate_limit().mul_power(0, 1).mul_fermi_plus(1, 2)
-            pairings._root_density(kind, mode).mul_scalar(-1).mul_bose_minus(0, 4)
+            pairing_density(kind, 1, mode).mul_scalar(-1).mul_bose_minus(0, 4)
+            assert other.scalar == memo[0] ** 3 and other.factors == [memo[1]] * 3
+            assert pairing_density(kind, 3, mode).canonical_string() == other.canonical_string()
             report = pairing_index(kind, "cp2", mode)
             assert report.density == pairing_index(kind, "cp2", mode).density
             assert pairings._root_data(kind, mode) is memo

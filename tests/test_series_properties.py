@@ -30,10 +30,11 @@ from statindex.pairings import (  # noqa: E402
     PAIRING_KINDS,
     _brute_block,
     _literal_blocks,
+    _RootFactor,
     _lower_root,
     _products_agree,
     _root_data,
-    _root_density,
+    pairing_density,
 )
 from statindex.series import TruncatedSeries, _truncated, root_product  # noqa: E402
 
@@ -240,9 +241,8 @@ def test_memoised_factors_equal_fresh_ones(D):
         assert generating_series(kind, D) is generating_series(kind, D)
     for kind in PAIRING_KINDS:
         for mode in ("exact", "nondegenerate"):
-            root = _root_density(kind, mode)
-            f = root.factors[0]
-            fresh = _lower_root.__wrapped__(f.power, f.exp_coeff, f.bose, f.fermi, D)
+            root = pairing_density(kind, 1, mode)
+            fresh = _lower_root.__wrapped__(_root_data(kind, mode)[1], D)
             assert root.root_factor(D) == fresh
             assert root.root_factor(D).terms == fresh.terms
 
@@ -250,9 +250,9 @@ def test_memoised_factors_equal_fresh_ones(D):
 # every key of the four grown memos, with the lowest truncation its builder takes
 GROWN_KEYS = (
     [(_root_factor, (kind,), 0) for kind in GENUS_KINDS]
-    + [(_lower_root, key, 0) for key in sorted({
-        (d.power, d.exp_coeff, d.bose, d.fermi)
-        for d in (_root_data(kind, mode) for kind in PAIRING_KINDS for mode in MODES)})]
+    + [(_lower_root, (factor,), 0) for factor in sorted(  # records are not orderable
+        {_root_data(kind, mode)[1] for kind in PAIRING_KINDS for mode in MODES},
+        key=_RootFactor._key)]
     + [(_brute_block, (kind,), 0) for kind in PAIRING_KINDS]
     + [(_literal_blocks, (kind,), 1) for kind in ("bb", "bf")]
 )
