@@ -23,7 +23,7 @@ import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
-from typing import List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from ._record import Record
 from .series import format_rational, parse_rational
@@ -32,7 +32,7 @@ from .genera import GENUS_KINDS, genus_polynomial
 from .bundles import RootModel
 from .manifolds import catalog, genus_number
 from .pairings import PAIRING_KINDS, hrr_index, pairing_index, verify_identity
-from .statmech import LevelSystem, correspondence_check, grand_ensemble
+from .statmech import LevelSystem, LevelTable, correspondence_check, grand_ensemble
 from .spectral import SpectrumSpec, build_spectral_report, zeta_det
 
 __all__ = ["main", "RunConfig"]
@@ -111,9 +111,36 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
+class _Stream(list):
+    """The parts of a JSON text on their way to ``write``: the parts before
+    a long list's body are written out when the body starts, and the body
+    then a piece at a time (``_append_body``)."""
+
+    __slots__ = ("write",)
+
+    def flush(self) -> None:
+        self.write("".join(self))
+        self.clear()
+
+
+def _append_body(parts: List[str], pieces: Iterable[str], separator: str) -> None:
+    """Append the body of a long list, made in pieces of one slice of items
+    each, joined by ``separator``; to a ``_Stream``, write them as they come."""
+    if type(parts) is _Stream:
+        parts.flush()
+        add = parts.write
+    else:
+        add = parts.append
+    joiner = ""
+    for piece in pieces:
+        add(joiner)
+        add(piece)
+        joiner = separator
+
+
 def _write_json(value, parts: List[str], indent: str) -> None:
     """Append the text of ``value`` at the nesting whose line break and
-    indentation is ``indent``."""
+    indentation is ``indent``; a ``LevelTable`` is its list of records."""
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
         parts.append(scalar(value))
@@ -138,6 +165,11 @@ def _write_json(value, parts: List[str], indent: str) -> None:
         inner = indent + "  "
         separator = "," + inner
         if all(type(item) is float for item in value):
+            if len(value) > _RECORD_SLICE:
+                parts.append("[" + inner)
+                _append_body(parts, _float_pieces(value, separator), separator)
+                parts.append(indent + "]")
+                return
             body = separator.join(_float_texts(value))
         else:
             body = type(value[0]) is dict and _records_text(value, inner)
@@ -150,12 +182,55 @@ def _write_json(value, parts: List[str], indent: str) -> None:
             _write_json(item, parts, inner)
             opening = separator
         parts.append(indent + "]")
+    elif type(value) is LevelTable:
+        if not value.count:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        separator = "," + inner
+        parts.append("[" + inner)
+        _append_body(parts, _table_pieces(value, inner, separator), separator)
+        parts.append(indent + "]")
     else:
         parts.append(_json_scalar(value))
 
 
-# records per slice that ``_records_text`` renders at a time
+# records per slice that ``_records_text`` renders at a time, and floats
+# per slice of a long float list
 _RECORD_SLICE = 1024
+
+
+# The two generators below are kept out of ``_write_json``: a generator
+# expression there would turn its locals into closure cells, which slows
+# every call.
+def _float_pieces(values, separator: str) -> Iterator[str]:
+    """The texts of a long float list, ``_RECORD_SLICE`` floats at a time,
+    each slice's joined by ``separator``."""
+    for at in range(0, len(values), _RECORD_SLICE):
+        yield separator.join(_float_texts(values[at:at + _RECORD_SLICE]))
+
+
+def _table_pieces(table: LevelTable, indent: str, separator: str) -> Iterator[str]:
+    """The records of a ``LevelTable`` at the nesting ``indent``, a slice at
+    a time, each slice's joined by ``separator``."""
+    template = _row_template(table.keys, indent)
+    for columns in table.slices():
+        yield _rows_text(template, columns, separator)
+
+
+def _row_template(keys: Sequence[str], indent: str) -> str:
+    """The %-template of one record, at the nesting ``indent``, whose str
+    ``keys`` (in sorted order) each take one float's text."""
+    inner = indent + "  "
+    return "{" + ",".join(
+        inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
+    ) + indent + "}"
+
+
+def _rows_text(template: str, columns: Sequence[Sequence[float]], separator: str) -> str:
+    """The records whose float columns, in key order, are ``columns``, each
+    through the row ``template``, joined by ``separator``."""
+    return separator.join(map(template.__mod__, zip(*map(_float_texts, columns))))
 
 
 def _records_text(records, indent: str) -> Optional[str]:
@@ -172,10 +247,7 @@ def _records_text(records, indent: str) -> Optional[str]:
     keys = sorted(first)
     if set(map(type, records)) != {dict} or set(map(len, records)) != {len(keys)}:
         return None
-    inner = indent + "  "
-    template = "{" + ",".join(
-        inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
-    ) + indent + "}"
+    template = _row_template(keys, indent)
     separator = "," + indent
     pieces = []
     for start in range(0, len(records), _RECORD_SLICE):
@@ -186,7 +258,7 @@ def _records_text(records, indent: str) -> Optional[str]:
             return None
         if any(set(map(type, column)) != {float} for column in columns):
             return None
-        pieces.append(separator.join(map(template.__mod__, zip(*map(_float_texts, columns)))))
+        pieces.append(_rows_text(template, columns, separator))
     return separator.join(pieces)
 
 
@@ -198,7 +270,13 @@ def _json_text(payload) -> str:
 
 
 def _emit_json(payload) -> None:
-    sys.stdout.write(_json_text(payload) + "\n")
+    """Write ``_json_text(payload)`` and a line break, in pieces: a long
+    list is written a slice at a time, so its text is never held whole."""
+    parts = _Stream()
+    parts.write = sys.stdout.write
+    _write_json(payload, parts, "\n")
+    parts.append("\n")
+    parts.flush()
 
 
 def _arg(*names: str, **kwargs):
@@ -535,9 +613,9 @@ def _cmd_stats(args: SimpleNamespace, config: RunConfig) -> int:
         print(f"Omega             {_fmt_float(report.omega)}")
         print(f"mean N            {_fmt_float(report.mean_particle_number)}")
     if config.fmt == "json":
-        payload = report.to_json_dict()
+        payload = report.to_json_dict(table=True)
         if check is not None:
-            payload["correspondence"] = check.to_json_dict()
+            payload["correspondence"] = check.to_json_dict(table=True)
         _emit_json(payload)
     elif check is not None:
         status = "PASS" if check.ok else "FAIL"

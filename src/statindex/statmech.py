@@ -8,31 +8,32 @@ exposed explicitly (thermo_arguments / chern_roots) and never converted
 silently.
 
 Per-level values come from one pair of kernels per statistics, chosen
-once per system: a list comprehension over the level arguments for
-ln Xi_level, and a generator for the occupation n, which goes straight
-into its tuple (MB's occupation is its ln Xi_level, so one kernel serves
-both).  The scalar functions ``log_level_partition`` and ``occupation`` run
-the same kernels on a single level, so a level's values do not depend on
-the route that asked for them.  Whether e^v is in float range is one
-comparison, v <= ``bundles._LOG_MAX``: far above mu, where e^x is beyond
-it, n = e^{-x}/(1 -/+ e^{-x}) rounds to e^{-x}, a subnormal number or 0,
-and a per-level Xi beyond it is reported as Infinity.  Totals over many
-levels are accumulated in the log domain with ``math.fsum`` so that
-systems with thousands of levels do not overflow the linear-domain
-product.
+once per system, each a list comprehension over the level arguments: one
+for ln Xi_level and one for the occupation n (MB's occupation is its
+ln Xi_level, so one kernel serves both).  The scalar functions
+``log_level_partition`` and ``occupation`` run the same kernels on a single
+level, so a level's values do not depend on the route that asked for them.
+Whether e^v is in float range is one comparison, v <= ``bundles._LOG_MAX``:
+far above mu, where e^x is beyond it, n = e^{-x}/(1 -/+ e^{-x}) rounds to
+e^{-x}, a subnormal number or 0, and a per-level Xi beyond it is reported as
+Infinity.  Totals over many levels are accumulated in the log domain with
+``math.fsum`` so that systems with thousands of levels do not overflow the
+linear-domain product.
 
-A report holds each per-level array once.  It keeps the ln Xi_level that
-its total is summed from, and builds the per-level Xi from them only when
-that field is read, dropping the logs then; the CSV table is written in
-pieces of ``_CSV_CHUNK_ROWS`` rows, each taking only its own slice of Xi.
-So a text report never builds the per-level Xi, and a CSV report never
-holds all of it, nor all of its text.
+Nothing per level is held beyond the levels themselves.  The totals are
+``math.fsum`` over the level tuple taken ``_CSV_CHUNK_ROWS`` levels at a
+time: each slice's arguments and kernel values are made, fed to the sum
+and dropped, and since ``fsum`` is correctly rounded the totals do not
+depend on that slicing.  A report builds a per-level tuple (the arguments,
+Xi or n) from its system only when that field is read; the CSV table and
+the CLI's JSON rows are written from the same slices, one at a time.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ._record import Record, store
 from .bundles import _LOG_MAX, DivergenceError, _safe_exp, fock_character_value
@@ -42,6 +43,7 @@ __all__ = [
     "CorrespondenceReport",
     "EnsembleReport",
     "LevelSystem",
+    "LevelTable",
     "STATISTICS",
     "TailBoundError",
     "bose_geometric_sum",
@@ -109,9 +111,8 @@ def _to_floats(values, what: str) -> Tuple[float, ...]:
 _LN2 = math.log(2.0)
 _BOSE_SUM_DIVERGES = "bosonic level sum diverges for x = {x} <= 0 (needs eps > mu)"
 
-# a per-level kernel: one value per level argument x, as a list (ln Xi_level)
-# or as an iterator (the occupation, read once into its tuple)
-_Kernel = Callable[[Sequence[float]], Iterable[float]]
+# a per-level kernel: the list of one value per level argument x
+_Kernel = Callable[[Sequence[float]], List[float]]
 
 
 def _be_logs(xs: Sequence[float]) -> List[float]:
@@ -119,15 +120,15 @@ def _be_logs(xs: Sequence[float]) -> List[float]:
     for x <= ln 2, where 1 - e^{-x} would cancel, and log1p(-e^{-x}) above,
     where e^{-x} <= 1/2 is exact enough.  Relative error at most 3e-16 for
     x in (0, 708]; beyond that the value is subnormal and within 2.5e-324."""
-    exp, expm1, log, log1p = math.exp, math.expm1, math.log, math.log1p
-    return [-log(-expm1(-x)) if x <= _LN2 else -log1p(-exp(-x)) for x in xs]
+    exp, expm1, log, log1p, ln2 = math.exp, math.expm1, math.log, math.log1p, _LN2
+    return [-log(-expm1(-x)) if x <= ln2 else -log1p(-exp(-x)) for x in xs]
 
 
-def _be_occupations(xs: Sequence[float]) -> Iterator[float]:
+def _be_occupations(xs: Sequence[float]) -> List[float]:
     """1/(e^x - 1), or e^{-x} where e^x is beyond float range.  Within 3e-16
     relative for x in (0, 708.39], where n is normal, and 5e-324 beyond."""
     exp, expm1, log_max = math.exp, math.expm1, _LOG_MAX
-    return (1.0 / expm1(x) if x <= log_max else exp(-x) for x in xs)
+    return [1.0 / expm1(x) if x <= log_max else exp(-x) for x in xs]
 
 
 def _fd_logs(xs: Sequence[float]) -> List[float]:
@@ -137,11 +138,11 @@ def _fd_logs(xs: Sequence[float]) -> List[float]:
     return [-x if x < -40.0 else log1p(exp(-x)) for x in xs]
 
 
-def _fd_occupations(xs: Sequence[float]) -> Iterator[float]:
+def _fd_occupations(xs: Sequence[float]) -> List[float]:
     """1/(e^x + 1), or e^{-x} where e^x is beyond float range.  Within 3e-16
     relative for x <= 708.39, where n is normal, and 5e-324 beyond."""
     exp, log_max = math.exp, _LOG_MAX
-    return (1.0 / (exp(x) + 1.0) if x <= log_max else exp(-x) for x in xs)
+    return [1.0 / (exp(x) + 1.0) if x <= log_max else exp(-x) for x in xs]
 
 
 def _mb_logs(xs: Sequence[float]) -> List[float]:
@@ -282,65 +283,148 @@ class LevelSystem(Record):
         )
 
 
-# lines per piece of the streamed CSV table
+# levels per slice: of the summed totals, of a CSV piece and of JSON rows
 _CSV_CHUNK_ROWS = 1024
 
 
-def _level_xis(logs: Iterable[float]) -> Iterator[float]:
+def _argument_slices(system: LevelSystem) -> Iterator[List[float]]:
+    """The level arguments x = beta*(eps - mu), ``_CSV_CHUNK_ROWS`` levels
+    at a time, each as ``thermo_arguments`` computes it."""
+    levels, beta, mu = system.levels, system.beta, system.mu
+    for start in range(0, len(levels), _CSV_CHUNK_ROWS):
+        yield [beta * (eps - mu) for eps in levels[start:start + _CSV_CHUNK_ROWS]]
+
+
+def _level_xis(logs: Sequence[float]) -> List[float]:
     """Xi_level = e^v of each ln Xi_level v; Infinity where that passes max float."""
     exp, inf, log_max = math.exp, math.inf, _LOG_MAX
-    return (inf if v > log_max else exp(v) for v in logs)
+    return [inf if v > log_max else exp(v) for v in logs]
+
+
+def _fsum_slices(slices: Iterator[List[float]]) -> float:
+    """``math.fsum`` of the values of every slice; a lone slice is summed
+    as it is, without a chain over it."""
+    first = next(slices, [])
+    second = next(slices, None)
+    if second is None:
+        return math.fsum(first)
+    return math.fsum(chain(first, second, chain.from_iterable(slices)))
+
+
+def _bose_underflow(system: LevelSystem) -> ConvergenceError:
+    """The error for a BE level whose argument is not positive.  Every level
+    is above mu (``LevelSystem`` checks that), so beta*(eps - mu) has
+    underflowed to 0."""
+    beta, mu = system.beta, system.mu
+    idx, eps = next((i, eps) for i, eps in enumerate(system.levels) if beta * (eps - mu) <= 0)
+    return ConvergenceError(
+        f"level {idx} (eps = {eps}) is above mu = {mu}, but x = beta*(eps - mu) "
+        f"underflows to {beta * (eps - mu)} at beta = {beta}; the bosonic level sum needs x > 0"
+    )
+
+
+class LevelTable:
+    """Per-level JSON records held as columns, not as dicts: ``keys`` in
+    sorted order, ``count`` records, and ``slices()``, which yields the
+    columns of ``_CSV_CHUNK_ROWS`` records at a time, one sequence of floats
+    per key in key order.  The CLI writes it a slice at a time."""
+
+    __slots__ = ("keys", "count", "slices")
+
+    def __init__(self, keys: Tuple[str, ...], count: int,
+                 slices: Callable[[], Iterator[Tuple[Sequence[float], ...]]]):
+        self.keys = keys
+        self.count = count
+        self.slices = slices
 
 
 class EnsembleReport(Record):
     """Per-level and total grand canonical quantities; ``arguments`` holds
     the level arguments x_i = beta*(eps_i - mu) they were computed from.
 
-    A report from ``grand_ensemble`` keeps ln Xi_level for each level and
-    builds ``per_level_xi`` from them on its first read, dropping the logs
-    then.  ``csv_chunks`` reads a slice of the logs per piece while they are
-    kept, so it never holds the whole per-level Xi.  Equality, hash, repr
-    and pickling read the field, as for any other record."""
+    A per-level field given as None (as ``grand_ensemble`` gives all three)
+    is built from ``system`` when it is first read, and kept; reading one
+    builds no other.  ``csv_chunks`` and the JSON rows take a slice of each
+    column at a time, from its tuple where one is held and from ``system``
+    otherwise, so they never hold a whole column.  Equality, hash, repr and
+    pickling read the fields, as for any other record."""
 
     __match_args__ = ("system", "arguments", "per_level_xi", "per_level_occupation",
                       "log_xi", "xi", "omega", "mean_particle_number")
-    __slots__ = ("system", "arguments", "_per_level_xi", "_level_logs", "per_level_occupation",
+    __slots__ = ("system", "_arguments", "_per_level_xi", "_per_level_occupation",
                  "log_xi", "xi", "omega", "mean_particle_number")
 
-    def __init__(self, system: LevelSystem, arguments: Tuple[float, ...],
-                 per_level_xi: Tuple[float, ...], per_level_occupation: Tuple[float, ...],
+    def __init__(self, system: LevelSystem, arguments: Optional[Tuple[float, ...]],
+                 per_level_xi: Optional[Tuple[float, ...]],
+                 per_level_occupation: Optional[Tuple[float, ...]],
                  log_xi: float, xi: float, omega: float, mean_particle_number: float):
         store(self, "system", system)
-        store(self, "arguments", arguments)
+        store(self, "_arguments", arguments)
         store(self, "_per_level_xi", per_level_xi)
-        store(self, "_level_logs", None)
-        store(self, "per_level_occupation", per_level_occupation)
+        store(self, "_per_level_occupation", per_level_occupation)
         store(self, "log_xi", log_xi)
         store(self, "xi", xi)
         store(self, "omega", omega)
         store(self, "mean_particle_number", mean_particle_number)
 
     @property
+    def arguments(self) -> Tuple[float, ...]:
+        """x_i = beta*(eps_i - mu) of each level."""
+        if self._arguments is None:
+            store(self, "_arguments", self.system.thermo_arguments())
+        return self._arguments
+
+    @property
     def per_level_xi(self) -> Tuple[float, ...]:
         """Xi_level = e^{ln Xi_level} of each level, Infinity where that
         passes max float."""
         if self._per_level_xi is None:
-            logs = self._level_logs
-            if logs is not None:  # else another thread has just built the tuple
-                # stored before the logs are dropped, so a reader finds one of them
-                store(self, "_per_level_xi", tuple(_level_xis(logs)))
-                store(self, "_level_logs", None)
+            log_kernel = _KERNELS[self.system.statistics][0]
+            xis = (_level_xis(log_kernel(xs)) for xs in _argument_slices(self.system))
+            store(self, "_per_level_xi", tuple(chain.from_iterable(xis)))
         return self._per_level_xi
 
-    def to_json_dict(self) -> dict:
+    @property
+    def per_level_occupation(self) -> Tuple[float, ...]:
+        """Mean occupation n of each level."""
+        if self._per_level_occupation is None:
+            kernel = _KERNELS[self.system.statistics][1]
+            ns = chain.from_iterable(map(kernel, _argument_slices(self.system)))
+            store(self, "_per_level_occupation", tuple(ns))
+        return self._per_level_occupation
+
+    def _level_slices(self) -> Iterator[Tuple[int, Sequence[float], Sequence[float],
+                                              Sequence[float], Sequence[float]]]:
+        """(first level, eps, x, Xi, n) of ``_CSV_CHUNK_ROWS`` levels at a
+        time: a slice of each held tuple, or else the kernels' values on the
+        slice alone."""
+        levels = self.system.levels
+        log_kernel, occupation_kernel = _KERNELS[self.system.statistics]
+        held_x, held_xi, held_n = self._arguments, self._per_level_xi, self._per_level_occupation
+        for start, xs in zip(range(0, len(levels), _CSV_CHUNK_ROWS),
+                             _argument_slices(self.system)):
+            stop = start + _CSV_CHUNK_ROWS
+            if held_x is not None:
+                xs = held_x[start:stop]
+            xis = _level_xis(log_kernel(xs)) if held_xi is None else held_xi[start:stop]
+            ns = occupation_kernel(xs) if held_n is None else held_n[start:stop]
+            yield start, levels[start:stop], xs, xis, ns
+
+    def to_json_dict(self, table: bool = False) -> dict:
+        """The report as a JSON payload.  ``per_level`` is a list of
+        ``{"epsilon", "xi", "occupation"}`` dicts, or with ``table`` a
+        ``LevelTable`` of the same records, which builds no dict."""
+        if table:
+            per_level = LevelTable(
+                ("epsilon", "occupation", "xi"), len(self.system.levels),
+                lambda: ((eps, ns, xis) for _, eps, _, xis, ns in self._level_slices()))
+        else:
+            per_level = [{"epsilon": eps, "xi": xi, "occupation": n}
+                         for _, levels, _, xis, ns in self._level_slices()
+                         for eps, xi, n in zip(levels, xis, ns)]
         return {
             "system": self.system.to_json_dict(),
-            "per_level": [
-                {"epsilon": eps, "xi": xi, "occupation": n}
-                for eps, xi, n in zip(
-                    self.system.levels, self.per_level_xi, self.per_level_occupation
-                )
-            ],
+            "per_level": per_level,
             "log_xi": self.log_xi,
             "xi": self.xi,
             "omega": self.omega,
@@ -353,13 +437,8 @@ class EnsembleReport(Record):
         ``_CSV_CHUNK_ROWS`` levels at a time; floats with 17 significant
         digits."""
         yield "level,epsilon,x,xi,occupation\n"
-        levels, xs, ns = self.system.levels, self.arguments, self.per_level_occupation
-        for start in range(0, len(xs), _CSV_CHUNK_ROWS):
-            stop = start + _CSV_CHUNK_ROWS
-            logs = self._level_logs
-            xis = self._per_level_xi[start:stop] if logs is None else _level_xis(logs[start:stop])
-            rows = zip(range(start, stop), levels[start:stop], xs[start:stop], xis,
-                       ns[start:stop])
+        for start, levels, xs, xis, ns in self._level_slices():
+            rows = zip(range(start, start + _CSV_CHUNK_ROWS), levels, xs, xis, ns)
             yield "".join(["%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows])
 
     def csv_text(self) -> str:
@@ -373,45 +452,46 @@ class EnsembleReport(Record):
 
 
 def grand_ensemble(system: LevelSystem) -> EnsembleReport:
-    """Full ensemble report in one pass over the levels.
+    """Ensemble totals in one pass over the levels per sum.
 
-    The statistics' kernels give ln Xi_level and n for every level; the
-    total ln Xi is the ``math.fsum`` of the logs, so the total Xi is
-    accumulated in the log domain; a total beyond float range raises
-    OverflowError.  The report keeps the logs, and the per-level Xi is exp
-    of them (Infinity where that overflows), built when first read.
-    Occupations far above mu underflow to e^{-x} instead of overflowing;
-    see the module docstring.
+    ln Xi is the ``math.fsum`` of the log kernel and mean N that of the
+    occupation kernel (for MB the same sum), each fed one slice of level
+    arguments at a time, so the total Xi is accumulated in the log domain
+    and no per-level array is kept; a total beyond float range raises
+    OverflowError.  The report's per-level fields are built when first
+    read.  Occupations far above mu underflow to e^{-x} instead of
+    overflowing; see the module docstring.
     """
-    xs = system.thermo_arguments()
-    if system.statistics == "BE" and xs and min(xs) <= 0:
-        raise ConvergenceError(_BOSE_SUM_DIVERGES.format(x=next(x for x in xs if x <= 0)))
     log_kernel, occupation_kernel = _KERNELS[system.statistics]
+    # a system of one slice makes it once, for both sums
+    kept = list(_argument_slices(system)) if len(system.levels) <= _CSV_CHUNK_ROWS else None
+
+    def values(kernel: _Kernel, bosons: bool = False) -> Iterator[List[float]]:
+        for xs in _argument_slices(system) if kept is None else kept:
+            if bosons and min(xs) <= 0:
+                raise _bose_underflow(system)
+            yield kernel(xs)
+
     try:
-        logs = log_kernel(xs)
-        log_xi = math.fsum(logs)
+        log_xi = _fsum_slices(values(log_kernel, system.statistics == "BE"))
     except OverflowError:  # MB's e^{-x}, or the sum of finite logs, passes max float
         log_xi = math.inf
     if log_xi == math.inf:  # or a level's log is inf
         raise OverflowError("ln Xi is beyond float range")
     if occupation_kernel is log_kernel:  # MB: the occupations are the logs
-        per_n = logs = tuple(logs)
         mean_n = log_xi
     else:
-        per_n = tuple(occupation_kernel(xs))
-        mean_n = math.fsum(per_n)
-    report = EnsembleReport(
+        mean_n = _fsum_slices(values(occupation_kernel))
+    return EnsembleReport(
         system=system,
-        arguments=xs,
+        arguments=None,
         per_level_xi=None,
-        per_level_occupation=per_n,
+        per_level_occupation=None,
         log_xi=log_xi,
         xi=_safe_exp(log_xi),
         omega=-log_xi / system.beta,
         mean_particle_number=mean_n,
     )
-    store(report, "_level_logs", logs)
-    return report
 
 
 def bose_geometric_sum(
@@ -480,15 +560,23 @@ class CorrespondenceReport(Record):
         store(self, "tolerance", tolerance)
         store(self, "ok", ok)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, table: bool = False) -> dict:
+        """The report as a JSON payload.  ``per_level`` is a list of
+        ``{"character", "series", "ensemble"}`` dicts, or with ``table`` a
+        ``LevelTable`` of the same records, which builds no dict."""
+        chars, sums, ensembles = self.character_values, self.series_values, self.ensemble_values
+        if table:
+            step = _CSV_CHUNK_ROWS
+            per_level = LevelTable(
+                ("character", "ensemble", "series"), len(chars),
+                lambda: ((chars[i:i + step], ensembles[i:i + step], sums[i:i + step])
+                         for i in range(0, len(chars), step)))
+        else:
+            per_level = [{"character": c, "series": s, "ensemble": e}
+                         for c, s, e in zip(chars, sums, ensembles)]
         return {
             "system": self.system.to_json_dict(),
-            "per_level": [
-                {"character": c, "series": s, "ensemble": e}
-                for c, s, e in zip(
-                    self.character_values, self.series_values, self.ensemble_values
-                )
-            ],
+            "per_level": per_level,
             "max_relative_deviation": self.max_relative_deviation,
             "tolerance": self.tolerance,
             "ok": self.ok,
@@ -505,7 +593,7 @@ def correspondence_check(
     geometric series for bosons, the exact two-term sum for fermions), and
     the ensemble's closed-form level partition function.  ``ensemble`` is
     the ``grand_ensemble`` report of ``system``, built here when not given;
-    its level arguments and totals are reused.  A level whose values are
+    its totals are reused.  A level whose values are
     beyond binary64 range (FD, x < -709.78) is reported as Infinity and
     compared through the logs of its values.
     """
@@ -515,7 +603,7 @@ def correspondence_check(
         ensemble = grand_ensemble(system)
     elif ensemble.system != system:
         raise ValueError("the ensemble report belongs to another level system")
-    xs = ensemble.arguments
+    xs = system.thermo_arguments()
     roots = [-x for x in xs]
     stat = system.statistics
     characters: List[float] = []

@@ -5,7 +5,7 @@ import pytest
 
 from statindex import cli
 from statindex.cli import main
-from statindex.statmech import CorrespondenceReport
+from statindex.statmech import ConvergenceError, CorrespondenceReport, LevelSystem, grand_ensemble
 
 
 def run(capsys, *argv):
@@ -181,7 +181,24 @@ def test_be_argument_underflowing_to_zero_diverges(tmp_path, capsys, options, ex
                                 "statistics": "BE"}))
     code, out, err = run(capsys, *options, "stats", str(path), *extra)
     assert (code, out) == (2, "")
-    assert err == "error: bosonic level sum diverges for x = 0.0 <= 0 (needs eps > mu)\n"
+    assert err == ("error: level 0 (eps = 1e-300) is above mu = 0.0, but x = beta*(eps - mu) "
+                   "underflows to 0.0 at beta = 1e-300; the bosonic level sum needs x > 0\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_be_underflow_message_names_the_level(tmp_path, capsys, fmt):
+    # eps = 1e-30 > mu = 0, but beta (eps - mu) = 1e-330 is below the
+    # smallest subnormal: the error names the level and the underflow,
+    # not the eps > mu that holds
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"levels": [2.0, 1e-30, 3.0], "mu": 0, "beta": 1e-300,
+                                "statistics": "BE"}))
+    code, out, err = run(capsys, "--format", fmt, "stats", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: level 1 (eps = 1e-30) is above mu = 0.0, but x = beta*(eps - mu) "
+                   "underflows to 0.0 at beta = 1e-300; the bosonic level sum needs x > 0\n")
+    with pytest.raises(ConvergenceError):
+        grand_ensemble(LevelSystem.from_json_dict(json.loads(path.read_text())))
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

@@ -410,8 +410,11 @@ def test_streamed_csv_is_the_one_line_table(tmp_path, statistics, n):
         levels[n // 2] = -800.0  # x = -800: the level's xi is inf
     system = LevelSystem(levels=levels, mu=-0.3, beta=1.1, statistics=statistics)
     streamed, read_first = grand_ensemble(system), grand_ensemble(system)
+    held = ("_arguments", "_per_level_xi", "_per_level_occupation")
+    # no per-level tuple until one is read, and a read builds only that one
+    assert [getattr(read_first, name) for name in held] == [None, None, None]
     xi = read_first.per_level_xi
-    assert read_first._level_logs is None  # dropped once the tuple is built
+    assert [getattr(read_first, name) is None for name in held] == [True, False, True]
     assert (statistics == "FD" and n > 0) == (math.inf in xi)
     # compared as lists of lines: pytest reports the first differing line of
     # a list at once, where a diff of two long strings takes minutes
@@ -452,6 +455,69 @@ def test_csv_request_peaks_like_the_text_request(tmp_path):
     finally:
         tracemalloc.stop()
     assert peaks["csv"] <= 1.1 * peaks["text"], peaks
+
+
+_JSON_CASES = [(statistics, check) for statistics in ("BE", "FD", "MB")
+               for check in (False, True) if not (check and statistics == "MB")]
+
+
+@pytest.mark.parametrize("n", [0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
+                               2 * _CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("statistics, check", _JSON_CASES,
+                         ids=[f"{s}-{'check' if c else 'plain'}" for s, c in _JSON_CASES])
+def test_streamed_json_is_json_dumps(tmp_path, statistics, check, n):
+    # the JSON rows and the levels are written a slice at a time; the
+    # output is still json.dumps of the report's dict payload
+    rng = random.Random(f"json:{statistics}:{n}")
+    levels = [rng.uniform(0.5, 20.0) for _ in range(n)]
+    if statistics == "FD" and levels:
+        levels[n // 2] = -800.0  # x = -800: the level's xi is inf
+    system = LevelSystem(levels=levels, mu=-0.3, beta=1.1, statistics=statistics)
+    argv = ["--format", "json", "stats", _write_system(tmp_path, system)]
+    with open(tmp_path / "stdout.txt", "w", encoding="utf-8") as out:
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--check-correspondence"] * check) == 0
+    report = grand_ensemble(system)
+    payload = report.to_json_dict()
+    if check:
+        payload["correspondence"] = correspondence_check(system, ensemble=report).to_json_dict()
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert ("Infinity" in text) == (statistics == "FD" and n > 0)
+    assert (tmp_path / "stdout.txt").read_text(encoding="utf-8").splitlines(keepends=True) == \
+        text.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("statistics", ["BE", "FD", "MB"])
+def test_stats_requests_peak_like_json_load(tmp_path, statistics):
+    # nothing per level is held beyond the levels, so text and CSV requests
+    # peak where json.load of their input does, and JSON within twice that
+    rng = random.Random(28)
+    levels = [rng.uniform(0.5, 20.0) for _ in range(100_000)]
+    if statistics == "FD":
+        levels[50_000] = -800.0
+    (tmp_path / "large").mkdir()
+    large = _write_system(tmp_path / "large", LevelSystem(levels, -0.5, 1.2, statistics))
+    small = _write_system(tmp_path, LevelSystem((1.0, 2.0), 0.0, 1.0, statistics))
+    del levels
+    peaks = {}
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        with open(large, encoding="utf-8") as handle:
+            json.load(handle)
+        load = tracemalloc.get_traced_memory()[1] - before
+        for fmt in ("text", "csv", "json"):
+            assert _stats_to_file(tmp_path, fmt, small) == 0  # lazy set-up is not counted
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert _stats_to_file(tmp_path, fmt, large) == 0
+            peaks[fmt] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peaks["text"] <= 1.1 * load, (load, peaks)
+    assert peaks["csv"] <= 1.1 * load, (load, peaks)
+    assert peaks["json"] <= 2 * load, (load, peaks)
 
 
 def test_bose_geometric_sum_rejects_hopeless_sums_before_looping():
