@@ -170,11 +170,7 @@ def _write_json(value, parts: List[str], indent: str) -> None:
                 _append_body(parts, _float_pieces(value, separator), separator)
                 parts.append(indent + "]")
                 return
-            body = separator.join(_float_texts(value))
-        else:
-            body = type(value[0]) is dict and _records_text(value, inner)
-        if body:  # appended as it is: a long body is not copied again
-            parts += ("[" + inner, body, indent + "]")
+            parts += ("[" + inner, separator.join(_float_texts(value)), indent + "]")
             return
         opening = "[" + inner
         for item in value:
@@ -195,8 +191,7 @@ def _write_json(value, parts: List[str], indent: str) -> None:
         parts.append(_json_scalar(value))
 
 
-# records per slice that ``_records_text`` renders at a time, and floats
-# per slice of a long float list
+# floats per slice of a long float list
 _RECORD_SLICE = 1024
 
 
@@ -231,35 +226,6 @@ def _rows_text(template: str, columns: Sequence[Sequence[float]], separator: str
     """The records whose float columns, in key order, are ``columns``, each
     through the row ``template``, joined by ``separator``."""
     return separator.join(map(template.__mod__, zip(*map(_float_texts, columns))))
-
-
-def _records_text(records, indent: str) -> Optional[str]:
-    """The items, at the nesting ``indent``, of a list of dicts that share
-    one set of str keys and hold only floats, all through one row template.
-    None for any other list that starts with a dict; unless that first dict
-    has only str keys and float values, it alone is looked at.  The float
-    texts and rows are made one slice of ``_RECORD_SLICE`` records at a
-    time, so a long list never has all of them alive at once."""
-    first = records[0]
-    if not (first and all(type(v) is float for v in first.values())
-            and all(type(k) is str for k in first)):
-        return None
-    keys = sorted(first)
-    if set(map(type, records)) != {dict} or set(map(len, records)) != {len(keys)}:
-        return None
-    template = _row_template(keys, indent)
-    separator = "," + indent
-    pieces = []
-    for start in range(0, len(records), _RECORD_SLICE):
-        chunk = records[start:start + _RECORD_SLICE]
-        try:
-            columns = [[record[key] for record in chunk] for key in keys]
-        except KeyError:
-            return None
-        if any(set(map(type, column)) != {float} for column in columns):
-            return None
-        pieces.append(_rows_text(template, columns, separator))
-    return separator.join(pieces)
 
 
 def _json_text(payload) -> str:
@@ -613,9 +579,10 @@ def _cmd_stats(args: SimpleNamespace, config: RunConfig) -> int:
         print(f"Omega             {_fmt_float(report.omega)}")
         print(f"mean N            {_fmt_float(report.mean_particle_number)}")
     if config.fmt == "json":
-        payload = report.to_json_dict(table=True)
+        # per-level records as tables, written from their columns: no dict per level
+        payload = report._json_payload()
         if check is not None:
-            payload["correspondence"] = check.to_json_dict(table=True)
+            payload["correspondence"] = check._json_payload()
         _emit_json(payload)
     elif check is not None:
         status = "PASS" if check.ok else "FAIL"

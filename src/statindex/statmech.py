@@ -337,6 +337,11 @@ class LevelTable:
         self.count = count
         self.slices = slices
 
+    def records(self) -> List[dict]:
+        """The records as a list of dicts, one per level."""
+        keys = self.keys
+        return [dict(zip(keys, row)) for columns in self.slices() for row in zip(*columns)]
+
 
 class EnsembleReport(Record):
     """Per-level and total grand canonical quantities; ``arguments`` holds
@@ -410,21 +415,20 @@ class EnsembleReport(Record):
             ns = occupation_kernel(xs) if held_n is None else held_n[start:stop]
             yield start, levels[start:stop], xs, xis, ns
 
-    def to_json_dict(self, table: bool = False) -> dict:
-        """The report as a JSON payload.  ``per_level`` is a list of
-        ``{"epsilon", "xi", "occupation"}`` dicts, or with ``table`` a
-        ``LevelTable`` of the same records, which builds no dict."""
-        if table:
-            per_level = LevelTable(
-                ("epsilon", "occupation", "xi"), len(self.system.levels),
-                lambda: ((eps, ns, xis) for _, eps, _, xis, ns in self._level_slices()))
-        else:
-            per_level = [{"epsilon": eps, "xi": xi, "occupation": n}
-                         for _, levels, _, xis, ns in self._level_slices()
-                         for eps, xi, n in zip(levels, xis, ns)]
+    def to_json_dict(self) -> dict:
+        """The report as a JSON payload; ``per_level`` holds one
+        ``{"epsilon", "occupation", "xi"}`` dict per level."""
+        payload = self._json_payload()
+        payload["per_level"] = payload["per_level"].records()
+        return payload
+
+    def _json_payload(self) -> dict:
+        """``to_json_dict()`` with ``per_level`` as a ``LevelTable``."""
         return {
             "system": self.system.to_json_dict(),
-            "per_level": per_level,
+            "per_level": LevelTable(
+                ("epsilon", "occupation", "xi"), len(self.system.levels),
+                lambda: ((eps, ns, xis) for _, eps, _, xis, ns in self._level_slices())),
             "log_xi": self.log_xi,
             "xi": self.xi,
             "omega": self.omega,
@@ -560,23 +564,23 @@ class CorrespondenceReport(Record):
         store(self, "tolerance", tolerance)
         store(self, "ok", ok)
 
-    def to_json_dict(self, table: bool = False) -> dict:
-        """The report as a JSON payload.  ``per_level`` is a list of
-        ``{"character", "series", "ensemble"}`` dicts, or with ``table`` a
-        ``LevelTable`` of the same records, which builds no dict."""
+    def to_json_dict(self) -> dict:
+        """The report as a JSON payload; ``per_level`` holds one
+        ``{"character", "ensemble", "series"}`` dict per level."""
+        payload = self._json_payload()
+        payload["per_level"] = payload["per_level"].records()
+        return payload
+
+    def _json_payload(self) -> dict:
+        """``to_json_dict()`` with ``per_level`` as a ``LevelTable``."""
         chars, sums, ensembles = self.character_values, self.series_values, self.ensemble_values
-        if table:
-            step = _CSV_CHUNK_ROWS
-            per_level = LevelTable(
-                ("character", "ensemble", "series"), len(chars),
-                lambda: ((chars[i:i + step], ensembles[i:i + step], sums[i:i + step])
-                         for i in range(0, len(chars), step)))
-        else:
-            per_level = [{"character": c, "series": s, "ensemble": e}
-                         for c, s, e in zip(chars, sums, ensembles)]
+        step = _CSV_CHUNK_ROWS
         return {
             "system": self.system.to_json_dict(),
-            "per_level": per_level,
+            "per_level": LevelTable(
+                ("character", "ensemble", "series"), len(chars),
+                lambda: ((chars[i:i + step], ensembles[i:i + step], sums[i:i + step])
+                         for i in range(0, len(chars), step))),
             "max_relative_deviation": self.max_relative_deviation,
             "tolerance": self.tolerance,
             "ok": self.ok,

@@ -171,34 +171,32 @@ def test_correspondence_error_prints_nothing_on_stdout(tmp_path, capsys, fmt, pa
     assert err.startswith(f"error: {message}"), err
 
 
-@pytest.mark.parametrize("options, extra", [
-    ((), ()), (("--format", "json"), ()), (("--format", "csv"), ()), ((), ("--check-correspondence",)),
-], ids=["text", "json", "csv", "check"])
-def test_be_argument_underflowing_to_zero_diverges(tmp_path, capsys, options, extra):
-    # both values pass LevelSystem's check, but beta (eps - mu) rounds to 0.0
+_UNDERFLOW_OPTIONS = {
+    "text": ((), ()), "json": (("--format", "json"), ()), "csv": (("--format", "csv"), ()),
+    "check": ((), ("--check-correspondence",)),
+}
+# each level passes LevelSystem's eps > mu, but beta (eps - mu) rounds to 0.0
+_UNDERFLOWS = {
+    "": ([1e-300], "level 0 (eps = 1e-300)"),
+    "-second-level": ([2.0, 1e-30, 3.0], "level 1 (eps = 1e-30)"),
+}
+
+
+@pytest.mark.parametrize("options, extra, levels, named", [
+    pytest.param(*options, levels, named, id=name + suffix)
+    for suffix, (levels, named) in _UNDERFLOWS.items()
+    for name, options in _UNDERFLOW_OPTIONS.items()
+])
+def test_be_argument_underflowing_to_zero_diverges(tmp_path, capsys, options, extra, levels, named):
+    data = {"levels": levels, "mu": 0, "beta": 1e-300, "statistics": "BE"}
     path = tmp_path / "system.json"
-    path.write_text(json.dumps({"levels": [1e-300], "mu": 0.0, "beta": 1e-300,
-                                "statistics": "BE"}))
+    path.write_text(json.dumps(data))
     code, out, err = run(capsys, *options, "stats", str(path), *extra)
     assert (code, out) == (2, "")
-    assert err == ("error: level 0 (eps = 1e-300) is above mu = 0.0, but x = beta*(eps - mu) "
-                   "underflows to 0.0 at beta = 1e-300; the bosonic level sum needs x > 0\n")
-
-
-@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-def test_be_underflow_message_names_the_level(tmp_path, capsys, fmt):
-    # eps = 1e-30 > mu = 0, but beta (eps - mu) = 1e-330 is below the
-    # smallest subnormal: the error names the level and the underflow,
-    # not the eps > mu that holds
-    path = tmp_path / "system.json"
-    path.write_text(json.dumps({"levels": [2.0, 1e-30, 3.0], "mu": 0, "beta": 1e-300,
-                                "statistics": "BE"}))
-    code, out, err = run(capsys, "--format", fmt, "stats", str(path))
-    assert (code, out) == (2, "")
-    assert err == ("error: level 1 (eps = 1e-30) is above mu = 0.0, but x = beta*(eps - mu) "
+    assert err == (f"error: {named} is above mu = 0.0, but x = beta*(eps - mu) "
                    "underflows to 0.0 at beta = 1e-300; the bosonic level sum needs x > 0\n")
     with pytest.raises(ConvergenceError):
-        grand_ensemble(LevelSystem.from_json_dict(json.loads(path.read_text())))
+        grand_ensemble(LevelSystem.from_json_dict(data))
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

@@ -14,8 +14,10 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
-from statindex.cli import _RECORD_SLICE, _json_text, _records_text, main  # noqa: E402
-from statindex.statmech import LevelSystem, correspondence_check, grand_ensemble  # noqa: E402
+from statindex.cli import _RECORD_SLICE, _json_text, main  # noqa: E402
+from statindex.statmech import (  # noqa: E402
+    LevelSystem, LevelTable, correspondence_check, grand_ensemble,
+)
 
 FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -89,9 +91,9 @@ def test_rejects_what_json_rejects(value):
     assert str(ours.value) == str(theirs.value)
 
 
-# Lists of dicts that share one set of str keys and hold only floats, such
-# as the stats per-level arrays, take their own path through the writer;
-# VALUES almost never generates one.
+# Lists of dicts that share one set of str keys and hold only floats, the
+# shape of the stats per-level arrays; VALUES almost never generates one.
+# Written as a LevelTable, they go through one row template per table.
 RECORD_KEYS = st.one_of(KEYS, st.text(alphabet="ab%s\"\\é☃\U0001f600\n", max_size=4))
 RECORDS = st.lists(RECORD_KEYS, min_size=1, max_size=4, unique=True).flatmap(
     lambda keys: st.lists(st.fixed_dictionaries({key: FLOATS for key in keys}),
@@ -102,10 +104,18 @@ RECORDS = st.lists(RECORD_KEYS, min_size=1, max_size=4, unique=True).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(RECORDS)
 def test_records_match_json_dumps(records):
-    assert _records_text(records, "\n  ") is not None
     assert _json_text(records) == _dumps(records)
     nested = {"per_level": records}
     assert _json_text(nested) == _dumps(nested)
+    assert _json_text({"per_level": _table(records)}) == _dumps(nested)
+
+
+def _table(records, step=3):
+    """``records`` as a ``LevelTable`` of ``step`` records a slice."""
+    keys = tuple(sorted(records[0]))
+    return LevelTable(keys, len(records), lambda: (
+        tuple([record[key] for record in records[at:at + step]] for key in keys)
+        for at in range(0, len(records), step)))
 
 
 class _Float(float):
@@ -130,27 +140,22 @@ class _Float(float):
     [[{"a": 1.0}, {"a": -0.0}]],
 ])
 def test_near_records_fall_back(records):
-    if type(records[0]) is dict:  # no other list is tried as records
-        assert _records_text(records, "\n  ") is None
     assert _json_text(records) == _dumps(records)
 
 
 @pytest.mark.parametrize("at", [_RECORD_SLICE - 1, _RECORD_SLICE, 2 * _RECORD_SLICE])
 @pytest.mark.parametrize("misfit", [{"a": 1}, {"b": 1.0}], ids=["int", "other-key"])
 def test_records_misfit_in_a_later_slice_falls_back(at, misfit):
-    # records are rendered a slice at a time; a misfit in any slice sends
-    # the whole list to the general path
     records = [{"a": i / 7} for i in range(2 * _RECORD_SLICE + 1)]
     assert _json_text(records) == _dumps(records)
     records[at] = misfit
-    assert _records_text(records, "\n  ") is None
     assert _json_text(records) == _dumps(records)
 
 
 def test_records_sort_keys_of_every_item():
     records = [{"b": 1.0, "a%s": math.inf}, {"a%s": math.nan, "b": 5e-324}]
-    assert _records_text(records, "\n  ") is not None
     assert _json_text(records) == _dumps(records)
+    assert _json_text(_table(records, 1)) == _dumps(records)
 
 
 @pytest.mark.parametrize("check", [[], ["--check-correspondence"]], ids=["plain", "check"])
